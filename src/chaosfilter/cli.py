@@ -18,7 +18,7 @@ from .config import ConfigError, load_config
 from .experiments import build_pipeline, check_consistency, make_table, run_sweep, simulate_full
 from .propagator import load_table, save_table
 from .reference import compare_on_path, kalman_bucy
-from .runtime import (cut_windows, read_observations, run_filter, write_estimate_csv,
+from .runtime import (FilterRun, cut_windows, read_observations, run_filter, write_estimate_csv,
                       write_observations, write_state_csv)
 from .simulate import write_truth
 
@@ -57,10 +57,10 @@ def _cmd_filter(args) -> int:
     state_csv = os.path.join(args.out, "states.csv")
     est_csv = os.path.join(args.out, "estimates.csv")
     if times.size == 0:
-        with open(state_csv, "w", newline="\n") as fh:
-            fh.write("t," + ",".join(f"p_{j + 1}" for j in range(table.K)) + "\n")
-        with open(est_csv, "w", newline="\n") as fh:
-            fh.write("t,estimate,mass\n")
+        empty = FilterRun(times=np.empty(0), states=np.empty((0, table.K)), masses=np.empty(0),
+                          estimates=None)
+        write_state_csv(state_csv, empty)
+        write_estimate_csv(est_csv, empty)
         print("no samples; wrote header-only CSVs")
         return 0
     check_consistency(cfg, table, delta_obs, r)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .models import MODEL_NAMES
+from .propagator import default_substeps
 
 
 class ConfigError(ValueError):
@@ -51,7 +52,7 @@ class ExperimentConfig:
         return self.resolved_delta_obs() / 4 if self.delta_sim is None else self.delta_sim
 
     def resolved_substeps(self) -> int:
-        return max(64, 16 * self.n) if self.substeps is None else self.substeps
+        return default_substeps(self.n) if self.substeps is None else self.substeps
 
     def validate(self) -> "ExperimentConfig":
         if self.model_name not in MODEL_NAMES:

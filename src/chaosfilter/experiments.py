@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .galerkin import GalerkinSystem, assemble
+from .galerkin import GalerkinSystem, _euler_reports, assemble
 from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project
 from .models import ModelBundle, build_model
-from .propagator import (ErrorBudget, PropagatorTable, chaos_error_bound, cosine_basis,
-                         precompute_table)
+from .propagator import (ErrorBudget, PropagatorTable, TemporalBasis, chaos_error_bound,
+                         cosine_basis, precompute_table)
 from .reference import kalman_bucy
 from .runtime import cut_windows, run_filter
 from .simulate import SimulationConfig, simulate_paths
@@ -123,19 +123,8 @@ def oracle_estimates(pipe: Pipeline, times, Y, stride: int):
 def galerkin_oracle_estimates(system, p_init, f_coeffs, one_coeffs, Y,
                               delta_fine: float, win_stride: int):
     """Estimates from Euler integration of the projected system on fine Y."""
-    npaths, nfine, _ = Y.shape
-    nwin = (nfine - 1) // win_stride
-    ests = np.empty((npaths, nwin + 1))
-    P = np.repeat(np.asarray(p_init, dtype=float)[:, None], npaths, axis=1)
-    ests[:, 0] = (f_coeffs @ P) / (one_coeffs @ P)
-    dY = np.diff(Y, axis=1)
-    for w in range(nwin):
-        for j in range(w * win_stride, (w + 1) * win_stride):
-            incr = delta_fine * (system.A @ P)
-            for l in range(system.r):
-                incr += (system.B[l] @ P) * dY[:, j, l]
-            P = P + incr
-        ests[:, w + 1] = (f_coeffs @ P) / (one_coeffs @ P)
+    reports = _euler_reports(system, Y, delta_fine, p_init, win_stride)
+    ests = np.stack([(f_coeffs @ R) / (one_coeffs @ R) for R in reports], axis=1)
     if not np.all(np.isfinite(ests)):
         raise FloatingPointError("fine-grid oracle produced non-finite estimates")
     return ests

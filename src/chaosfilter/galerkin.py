@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import QuadratureGrid, SpatialBasis, basis_tables, squeeze_points
+from .hermite import (QuadratureGrid, SpatialBasis, basis_fields, basis_tables, decode_header,
+                      encode_header, squeeze_points)
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,41 @@ def dissipativity_gap(system: GalerkinSystem) -> float:
     return float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
 
 
+def _euler_reports(system, y_paths, delta, p_init, report_stride):
+    """Euler-Maruyama on the projected system for a batch of sampled paths.
+
+    y_paths: (npaths, nsteps+1, r), or (npaths, nsteps+1) when r == 1;
+    p_init: (K,) shared or (npaths, K).  Returns the states after every
+    report_stride steps (a trailing partial stride is dropped), initial ones
+    included, as (nreports + 1, K, npaths); raises on the first non-finite
+    report, naming the steps it covers.
+    """
+    ys = np.asarray(y_paths, dtype=float)
+    if ys.ndim == 2:
+        ys = ys[:, :, None]
+    if ys.shape[2] != system.r:
+        raise ValueError(f"paths have {ys.shape[2]} channels, system has {system.r}")
+    dY = np.diff(ys, axis=1)
+    p_init = np.asarray(p_init, dtype=float)
+    P = np.repeat(p_init[:, None], ys.shape[0], axis=1) if p_init.ndim == 1 else p_init.T.copy()
+    A, B, r, nsteps = system.A, system.B, system.r, dY.shape[1]
+    out = np.empty((nsteps // report_stride + 1,) + P.shape)
+    out[0] = P
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(1, out.shape[0]):
+            for j in range((w - 1) * report_stride, w * report_stride):
+                incr = delta * (A @ P)
+                for l in range(r):
+                    incr += (B[l] @ P) * dY[:, j, l]
+                P = P + incr
+            if not np.all(np.isfinite(P)):
+                raise FloatingPointError(
+                    f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
+                    f" of {nsteps}")
+            out[w] = P
+    return out
+
+
 def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
     """Euler-Maruyama on the projected system driven by a sampled path.
 
@@ -205,30 +241,12 @@ def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
     delta (a (nsteps+1,) vector is fine when r == 1).  Returns the state
     at every report_stride-th grid time, initial state included, as an
     array of shape (nreports + 1, K).  Raises on the first non-finite
-    state, naming the step.
+    report, naming the steps it covers.
     """
-    y = np.asarray(y_path, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[1] != system.r:
-        raise ValueError(f"path has {y.shape[1]} channels, system has {system.r}")
-    nsteps = y.shape[0] - 1
-    if nsteps % report_stride:
+    if (len(y_path) - 1) % report_stride:
         raise ValueError("report_stride must divide the number of steps")
-    dY = np.diff(y, axis=0)
-    p = np.array(p_init, dtype=float).copy()
-    out = [p.copy()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(nsteps):
-            incr = delta * (system.A @ p)
-            for l in range(system.r):
-                incr += dY[j, l] * (system.B[l] @ p)
-            p = p + incr
-            if not np.all(np.isfinite(p)):
-                raise FloatingPointError(f"state blew up at step {j + 1} of {nsteps}")
-            if (j + 1) % report_stride == 0:
-                out.append(p.copy())
-    return np.array(out)
+    y = np.reshape(y_path, (1, len(y_path), -1))
+    return _euler_reports(system, y, delta, p_init, report_stride)[:, :, 0]
 
 
 def save_system(path, system: GalerkinSystem) -> None:
@@ -239,30 +257,23 @@ def save_system(path, system: GalerkinSystem) -> None:
     round-trips bit-exactly through load_system.
     """
     b = system.basis
-    gam = " ".join(",".join(str(g) for g in tup) for tup in b.gammas)
-    lam = " ".join(f"{v:.17g}" for v in b.lambdas)
     with open(path, "w", newline="\n") as fh:
-        fh.write("version=1\n")
-        fh.write(f"d={b.d}\nK={system.K}\nr={system.r}\n")
-        fh.write(f"basis_gammas={gam}\nbasis_lambdas={lam}\n")
+        fh.write(encode_header({"d": b.d, "K": system.K, "r": system.r, **basis_fields(b)}))
         for mat in (system.A, *system.B):
             for row in mat:
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_system(path) -> GalerkinSystem:
-    from .hermite import SpatialBasis
-
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    header = dict(ln.split("=", 1) for ln in lines[:6])
-    if header.get("version") != "1":
-        raise ValueError(f"unsupported system file version {header.get('version')!r}")
-    d, K, r = int(header["d"]), int(header["K"]), int(header["r"])
-    gammas = tuple(tuple(int(p) for p in tok.split(",")) for tok in header["basis_gammas"].split())
-    lambdas = np.array([float(t) for t in header["basis_lambdas"].split()])
-    basis = SpatialBasis(d=d, K=K, gammas=gammas, lambdas=lambdas)
+    header, basis = decode_header(lines[:6], "system file", "d")
+    K, r = basis.K, int(header["r"])
     body = lines[6:]
+    if len(body) < (1 + r) * K:
+        block = len(body) // K
+        raise ValueError(f"{path}: truncated matrix {'A' if block == 0 else f'B_{block}'}: "
+                         f"expected {K} rows, found {len(body) - block * K}")
     mats = []
     for block in range(1 + r):
         rows = body[block * K:(block + 1) * K]
@@ -274,27 +285,7 @@ def integrate_galerkin_sde_paths(system, y_paths, delta, p_init):
     """Batched Euler-Maruyama; returns only the final states.
 
     y_paths: (npaths, nsteps+1, r).  p_init: (K,) shared or (npaths, K).
-    Finiteness is checked once at the end (use the single-path variant to
-    locate a blow-up step).
+    Finiteness is checked once at the end (use report_stride in the
+    single-path variant to locate a blow-up step).
     """
-    ys = np.asarray(y_paths, dtype=float)
-    if ys.ndim == 2:
-        ys = ys[:, :, None]
-    npaths, _, r = ys.shape
-    if r != system.r:
-        raise ValueError(f"paths have {r} channels, system has {system.r}")
-    dY = np.diff(ys, axis=1)                      # (npaths, nsteps, r)
-    p_init = np.asarray(p_init, dtype=float)
-    if p_init.ndim == 1:
-        P = np.repeat(p_init[:, None], npaths, axis=1)
-    else:
-        P = p_init.T.copy()
-    nsteps = dY.shape[1]
-    for j in range(nsteps):
-        incr = delta * (system.A @ P)
-        for l in range(system.r):
-            incr += (system.B[l] @ P) * dY[:, j, l]
-        P = P + incr
-    if not np.all(np.isfinite(P)):
-        raise FloatingPointError(f"a path blew up within {nsteps} steps")
-    return P.T
+    return _euler_reports(system, y_paths, delta, p_init, max(np.shape(y_paths)[1] - 1, 1))[-1].T

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multiindex import _compositions_desc
+
 # Rescaled Gauss-Hermite weights involve exp(+node^2); beyond ~150 nodes
 # per axis the raw weights underflow before the rescale can cancel.
 MAX_NODES_PER_AXIS = 150
@@ -33,25 +35,38 @@ class SpatialBasis:
         return max(max(g) for g in self.gammas)
 
 
+def encode_header(fields: dict) -> str:
+    """Table/system file header: 'version=1', then one 'key=value' line per field."""
+    return "".join(f"{key}={val}\n" for key, val in {"version": 1, **fields}.items())
+
+
+def decode_header(lines, what: str, d_key: str):
+    """Inverse of encode_header: (fields, the basis they describe); version 1 only."""
+    header = dict(line.partition("=")[::2] for line in lines)
+    if header.get("version") != "1":
+        raise ValueError(f"unsupported {what} version {header.get('version')!r}")
+    gammas = tuple(tuple(int(p) for p in tok.split(",")) for tok in header["basis_gammas"].split())
+    lambdas = np.array([float(t) for t in header["basis_lambdas"].split()])
+    return header, SpatialBasis(d=int(header[d_key]), K=int(header["K"]), gammas=gammas,
+                                lambdas=lambdas)
+
+
+def basis_fields(basis: SpatialBasis) -> dict[str, str]:
+    """The basis_gammas and basis_lambdas header fields of a basis."""
+    return {"basis_gammas": " ".join(",".join(str(g) for g in tup) for tup in basis.gammas),
+            "basis_lambdas": " ".join(f"{v:.17g}" for v in basis.lambdas)}
+
+
 def _graded_tuples(d, count):
     out = []
     grade = 0
     while len(out) < count:
-        for vec in _desc_compositions(grade, d):
+        for vec in _compositions_desc(grade, d):
             out.append(vec)
             if len(out) == count:
                 return out
         grade += 1
     return out
-
-
-def _desc_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _desc_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def build_basis(d: int, K: int) -> SpatialBasis:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .galerkin import GalerkinSystem
-from .hermite import SpatialBasis
+from .hermite import SpatialBasis, basis_fields, decode_header, encode_header
 from .multiindex import MultiIndex, empty_index, enumerate_truncated, factorial, from_line, lower, to_line
 
 
@@ -89,6 +89,21 @@ def coupling_groups(indices):
     return out
 
 
+def rk4(rhs, y0, h: float, steps: int):
+    """Classical 4th-order Runge-Kutta for y' = rhs(s, y) from s = 0; checks finiteness."""
+    y = y0
+    for step in range(steps):
+        s = step * h
+        k1 = rhs(s, y)
+        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise FloatingPointError(f"flow lost finiteness at substep {step + 1} of {steps}")
+    return y
+
+
 def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S0, substeps):
     groups = coupling_groups(indices)
     A, B = system.A, system.B
@@ -100,18 +115,7 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S
             out[dst] += (co * mk)[:, None, None] * np.matmul(B[l - 1], S[src])
         return out
 
-    h = tbasis.delta / substeps
-    S = S0.astype(float).copy()
-    for step in range(substeps):
-        s = step * h
-        k1 = rhs(s, S)
-        k2 = rhs(s + 0.5 * h, S + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, S + 0.5 * h * k2)
-        k4 = rhs(s + h, S + h * k3)
-        S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(S)):
-            raise FloatingPointError(f"coefficient flow lost finiteness at substep {step + 1}")
-    return S
+    return rk4(rhs, S0, tbasis.delta / substeps, substeps)
 
 
 def _closure(alpha: MultiIndex):
@@ -240,22 +244,14 @@ def brownian_second_moment(system: GalerkinSystem, delta: float, zeta,
     independent check on both the Monte Carlo and the chaos mass.
     """
     zeta = np.asarray(zeta, dtype=float)
-    M = np.outer(zeta, zeta)
 
-    def rhs(M):
+    def rhs(s, M):
         out = system.A @ M + M @ system.A.T
         for l in range(system.r):
             out += system.B[l] @ M @ system.B[l].T
         return out
 
-    h = delta / substeps
-    for _ in range(substeps):
-        k1 = rhs(M)
-        k2 = rhs(M + 0.5 * h * k1)
-        k3 = rhs(M + 0.5 * h * k2)
-        k4 = rhs(M + h * k3)
-        M = M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return float(np.trace(M))
+    return float(np.trace(rk4(rhs, np.outer(zeta, zeta), delta / substeps, substeps)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,30 +356,13 @@ def filter_error_bound(budget: ErrorBudget) -> FilterBound:
 # table files
 
 
-def _header_lines(table: PropagatorTable, fmt: str):
-    b = table.basis
-    gam = " ".join(",".join(str(g) for g in tup) for tup in b.gammas)
-    lam = " ".join(f"{v:.17g}" for v in b.lambdas)
-    return [
-        "version=1",
-        f"format={fmt}",
-        f"K={table.K}",
-        f"r={table.r}",
-        f"delta={table.delta:.17g}",
-        f"N={table.N}",
-        f"n={table.n}",
-        f"substeps={table.substeps}",
-        f"basis_d={b.d}",
-        f"basis_gammas={gam}",
-        f"basis_lambdas={lam}",
-        f"indices={len(table.indices)}",
-    ]
-
-
 def save_table(path, table: PropagatorTable, binary: bool = False) -> None:
     """Write a table file; text uses 17 significant digits, binary raw LE floats."""
-    fmt = "binary" if binary else "text"
-    header = "\n".join(_header_lines(table, fmt)) + "\n"
+    b = table.basis
+    header = encode_header({
+        "format": "binary" if binary else "text", "K": table.K, "r": table.r,
+        "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
+        "basis_d": b.d, **basis_fields(b), "indices": len(table.indices)})
     mats = np.ascontiguousarray(table.matrices, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -402,36 +381,44 @@ def _read_line(buf: bytes, cursor: int):
 
 
 def load_table(path) -> PropagatorTable:
+    """Inverse of save_table; a truncated file raises ValueError naming the block."""
     with open(path, "rb") as fh:
         buf = fh.read()
     cursor = 0
-    header = {}
+    lines = []
     for _ in range(12):
         line, cursor = _read_line(buf, cursor)
-        key, _, val = line.partition("=")
-        header[key] = val
-    if header.get("version") != "1":
-        raise ValueError(f"unsupported table version {header.get('version')!r}")
-    fmt = header["format"]
-    K, r = int(header["K"]), int(header["r"])
-    d = int(header["basis_d"])
-    gammas = tuple(tuple(int(p) for p in tok.split(",")) for tok in header["basis_gammas"].split())
-    lambdas = np.array([float(t) for t in header["basis_lambdas"].split()])
-    basis = SpatialBasis(d=d, K=K, gammas=gammas, lambdas=lambdas)
+        lines.append(line)
+    header, basis = decode_header(lines, "table", "basis_d")
+    binary = header["format"] == "binary"
+    K, r = basis.K, int(header["r"])
     count = int(header["indices"])
+    nbytes = K * K * 8
     indices = []
     mats = np.empty((count, K, K))
     for a in range(count):
-        line, cursor = _read_line(buf, cursor)
+        try:
+            line, cursor = _read_line(buf, cursor)
+        except ValueError:
+            raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
+                             f"index blocks, found {a}") from None
         indices.append(from_line(line, r))
-        if fmt == "binary":
-            raw = buf[cursor:cursor + K * K * 8]
-            mats[a] = np.frombuffer(raw, dtype="<f8").reshape(K, K)
-            cursor += K * K * 8
+        if binary:
+            if len(buf) - cursor < nbytes:
+                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                 f"{nbytes} bytes, found {len(buf) - cursor}")
+            mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K, offset=cursor).reshape(K, K)
+            cursor += nbytes
         else:
-            for i in range(K):
-                line, cursor = _read_line(buf, cursor)
-                mats[a, i] = [float(t) for t in line.split()]
+            try:
+                for i in range(K):
+                    line, cursor = _read_line(buf, cursor)
+                    mats[a, i] = [float(t) for t in line.split()]
+            except ValueError:
+                if buf.find(b"\n", cursor) >= 0:
+                    raise
+                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                 f"{K} rows, found {i}") from None
     return PropagatorTable(K=K, r=r, delta=float(header["delta"]), N=int(header["N"]),
                            n=int(header["n"]), substeps=int(header["substeps"]),
                            basis=basis, indices=tuple(indices), matrices=mats)

@@ -166,16 +166,21 @@ def estimate(state: FilterState, f_coeffs, one_coeffs, floor: float = 0.0) -> fl
 # replay files and the multi-window driver
 
 
-def write_observations(path, delta_obs: float, times, values) -> None:
-    """Replay file: 'delta_obs=', 'r=', then one 't y_1 .. y_r' line per sample."""
+def write_samples(path, delta_obs: float, width_key: str, times, values) -> None:
+    """Replay/truth file: 'delta_obs=', '<width_key>=m', then 't v_1 .. v_m' lines."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 1 and np.asarray(times).size != 1:
         values = values.T
     with open(path, "w", newline="\n") as fh:
         fh.write(f"delta_obs={delta_obs:.17g}\n")
-        fh.write(f"r={values.shape[1]}\n")
+        fh.write(f"{width_key}={values.shape[1]}\n")
         for t, row in zip(np.asarray(times, dtype=float), values):
             fh.write(f"{t:.17g} " + " ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def write_observations(path, delta_obs: float, times, values) -> None:
+    """Replay file: 'delta_obs=', 'r=', then one 't y_1 .. y_r' line per sample."""
+    write_samples(path, delta_obs, "r", times, values)
 
 
 def read_observations(path):
@@ -186,7 +191,14 @@ def read_observations(path):
     r = int(lines[1].split("=", 1)[1])
     rows = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
     if rows:
-        data = np.array(rows)
+        try:
+            data = np.array(rows)
+        except ValueError:
+            bad = next(i for i, row in enumerate(rows) if len(row) != 1 + r)
+            with open(path) as fh:
+                lineno = [n for n, ln in enumerate(fh, 1) if ln.strip()][bad + 2]
+            raise ValueError(f"{path}: line {lineno}: expected {1 + r} columns, "
+                             f"found {len(rows[bad])}") from None
         times, values = data[:, 0], data[:, 1:1 + r]
     else:
         times, values = np.empty(0), np.empty((0, r))
@@ -201,6 +213,8 @@ def cut_windows(times, values, delta: float) -> list[ObservationWindow]:
         values = values.T
     if times.size == 0:
         return []
+    if times.size == 1:
+        raise ValueError("cutting windows needs at least two samples, got one")
     spacing = float(times[1] - times[0])
     per = delta / spacing
     per_i = int(round(per))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galerkin import FilterModel
+from .runtime import write_samples
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,5 @@ def simulate(config: SimulationConfig, x0=None):
 
 def write_truth(path, times, x) -> None:
     """Truth file: 'delta_obs=', 'd=', then one 't x_1 .. x_d' line per sample."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 1 and np.asarray(times).size != 1:
-        x = x.T
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"delta_obs={dt:.17g}\n")
-        fh.write(f"d={x.shape[1]}\n")
-        for t, row in zip(np.asarray(times, dtype=float), x):
-            fh.write(f"{t:.17g} " + " ".join(f"{v:.17g}" for v in row) + "\n")
+    write_samples(path, dt, "d", times, x)

@@ -1,9 +1,12 @@
+import typing
+
 import numpy as np
 import pytest
 
+from chaosfilter import experiments
 from chaosfilter.cli import main
 from chaosfilter.config import ConfigError, parse_config
-from chaosfilter.propagator import load_table
+from chaosfilter.propagator import TemporalBasis, load_table
 from chaosfilter.runtime import write_observations
 
 BASE = """
@@ -194,3 +197,8 @@ def test_sweep_error_decreases_with_chaos_order(tmp_path):
     rows = (outdir / "sweep_N.csv").read_text().splitlines()[1:]
     mses = [float(r.split(",")[2]) for r in rows]
     assert mses[0] > mses[1] >= mses[2]
+
+
+def test_pipeline_annotations_resolve():
+    hints = typing.get_type_hints(experiments.Pipeline)
+    assert hints["tbasis"] is TemporalBasis

@@ -6,7 +6,8 @@ from scipy.linalg import expm
 
 from chaosfilter.galerkin import (FilterModel, GalerkinSystem, apply_M, apply_generator,
                                   assemble, dissipativity_gap, integrate_galerkin_sde,
-                                  integrate_galerkin_sde_paths, validate_model)
+                                  integrate_galerkin_sde_paths, load_system, save_system,
+                                  validate_model)
 from chaosfilter.hermite import basis_tables, build_basis
 from chaosfilter.models import cubic_sensor
 
@@ -191,3 +192,50 @@ def test_system_serialization_round_trip(tmp_path, ou_system_k8):
     assert back.basis.gammas == ou_system_k8.basis.gammas
     save_system(tmp_path / "again.txt", back)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def _euler_single_path_oracle(system, y_path, delta, p_init, report_stride=1):
+    # The single-path loop integrate_galerkin_sde used before it became a
+    # one-column call of the shared batched loop; kept as an oracle.
+    y = np.asarray(y_path, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    dY = np.diff(y, axis=0)
+    p = np.array(p_init, dtype=float).copy()
+    out = [p.copy()]
+    for j in range(y.shape[0] - 1):
+        incr = delta * (system.A @ p)
+        for l in range(system.r):
+            incr += dY[j, l] * (system.B[l] @ p)
+        p = p + incr
+        if (j + 1) % report_stride == 0:
+            out.append(p.copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("stride", [1, 8])
+def test_integrate_matches_single_path_loop(ou_system_k8, ou_p_init_k8, stride):
+    rng = np.random.default_rng(21)
+    nsteps, delta = 256, 1.0 / 256
+    y = np.concatenate([[0.0], np.cumsum(rng.normal(scale=math.sqrt(delta), size=nsteps))])
+    got = integrate_galerkin_sde(ou_system_k8, y, delta, ou_p_init_k8, report_stride=stride)
+    ref = _euler_single_path_oracle(ou_system_k8, y, delta, ou_p_init_k8, report_stride=stride)
+    assert got.shape == ref.shape == (nsteps // stride + 1, 8)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_integrate_blowup_names_report_steps():
+    basis = build_basis(1, 1)
+    sys_ = GalerkinSystem(K=1, r=1, A=np.array([[1e4]]), B=np.array([[[0.0]]]), basis=basis)
+    # 10001^78 overflows, so the report covering steps 76..100 is the first bad one
+    with pytest.raises(FloatingPointError, match=r"steps 76\.\.100 of 400"):
+        integrate_galerkin_sde(sys_, np.zeros(401), 1.0, np.array([1.0]), report_stride=25)
+
+
+def test_load_system_rejects_missing_rows(tmp_path, ou_system_k4):
+    path = tmp_path / "system.txt"
+    save_system(path, ou_system_k4)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-2]))
+    with pytest.raises(ValueError, match=r"system\.txt: truncated matrix B_1: expected 4 rows, found 2"):
+        load_system(path)

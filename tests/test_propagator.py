@@ -270,3 +270,64 @@ def test_table_files_byte_identical_on_rewrite(tmp_path, ou_system_k8):
     save_table(p1, table)
     save_table(p2, table)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_brownian_second_moment_matches_inline_rk4(ou_system_k4, grid64):
+    # The moment flow's RK4 loop before it moved onto the shared stepper,
+    # kept as an oracle: same arithmetic, so the results are equal.
+    zeta = project(gaussian_p0, ou_system_k4.basis, grid64)
+    A, B = ou_system_k4.A, ou_system_k4.B
+
+    def rhs(M):
+        out = A @ M + M @ A.T
+        for l in range(ou_system_k4.r):
+            out += B[l] @ M @ B[l].T
+        return out
+
+    delta, substeps = 0.1, 64
+    h = delta / substeps
+    M = np.outer(zeta, zeta)
+    for _ in range(substeps):
+        k1 = rhs(M)
+        k2 = rhs(M + 0.5 * h * k1)
+        k3 = rhs(M + 0.5 * h * k2)
+        k4 = rhs(M + h * k3)
+        M = M + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert brownian_second_moment(ou_system_k4, delta, zeta, substeps=substeps) == np.trace(M)
+
+
+def test_brownian_second_moment_reports_blowup():
+    with pytest.raises(FloatingPointError, match="substep 1 of 4"), np.errstate(over="ignore"):
+        brownian_second_moment(scalar_system(a=1e200), 1.0, np.array([1.0]), substeps=4)
+
+
+def _truncated_table(tmp_path, ou_system_k4, binary, cut):
+    path = tmp_path / ("t.bin" if binary else "t.txt")
+    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64),
+               binary=binary)
+    path.write_bytes(path.read_bytes()[:cut(path.read_bytes())])
+    return path
+
+
+def test_load_table_rejects_truncated_binary_matrix(tmp_path, ou_system_k4):
+    path = _truncated_table(tmp_path, ou_system_k4, True, lambda buf: len(buf) - 40)
+    with pytest.raises(ValueError, match=r"t\.bin: truncated matrix 3 of 3: expected 128 bytes, found 88"):
+        load_table(path)
+
+
+def test_load_table_rejects_truncated_binary_index_line(tmp_path, ou_system_k4):
+    # cut inside the third index line, right after the second matrix
+    path = _truncated_table(tmp_path, ou_system_k4, True, lambda buf: len(buf) - 128 - 2)
+    with pytest.raises(ValueError, match=r"truncated at index line 3: expected 3 index blocks, found 2"):
+        load_table(path)
+
+
+def test_load_table_rejects_truncated_text_matrix(tmp_path, ou_system_k4):
+    # keep the final matrix's first two rows and a few bytes of its third
+    def cut(buf):
+        rows = buf.splitlines(keepends=True)
+        return len(buf) - len(rows[-1]) - len(rows[-2]) + 5
+
+    path = _truncated_table(tmp_path, ou_system_k4, False, cut)
+    with pytest.raises(ValueError, match=r"t\.txt: truncated matrix 3 of 3: expected 4 rows, found 2"):
+        load_table(path)

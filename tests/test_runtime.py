@@ -256,3 +256,15 @@ def test_one_window_agreement_with_fine_grid_oracle(ou_system_k8, ou_p_init_k8):
         mses[N] = np.mean(errs)
     assert mses[3] < 0.2 * mses[1]
     assert mses[3] < 1e-2
+
+
+def test_cut_windows_rejects_single_sample():
+    with pytest.raises(ValueError, match="at least two samples"):
+        cut_windows(np.array([0.0]), np.array([[0.0]]), 0.25)
+
+
+def test_read_observations_names_first_ragged_line(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_text("delta_obs=0.1\nr=2\n0 1 2\n\n0.1 1 2\n0.2 1\n0.3 1 2 3\n")
+    with pytest.raises(ValueError, match=r"obs\.txt: line 6: expected 3 columns, found 2"):
+        read_observations(path)
