@@ -1,9 +1,9 @@
 """Experiment driver: precompute, simulate, filter, compare, sweep.
 
 Run as `python -m chaosfilter <subcommand>`.  Exit codes: 0 on success,
-2 on validation failure (bad config, inconsistent metadata), 1 on
-runtime error.  Output CSV columns are documented in docs/formats.md;
-all commands are deterministic given identical inputs.
+2 on validation failure (bad config, inconsistent metadata, malformed
+table or replay file), 1 on runtime error.  Output CSV columns are in
+docs/formats.md; all commands are deterministic given identical inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,14 @@ from .reference import compare_on_path, kalman_bucy
 from .runtime import (FilterRun, cut_windows, read_observations, run_filter, write_estimate_csv,
                       write_observations, write_state_csv)
 from .simulate import write_truth
+
+
+def _parse(path, fn, *args):
+    """fn(*args); a ValueError about the malformed file `path` is a validation failure."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(exc if str(path) in str(exc) else f"{path}: {exc}") from None
 
 
 def _cmd_precompute(args) -> int:
@@ -51,8 +59,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_filter(args) -> int:
     cfg = load_config(args.config)
-    table = load_table(args.table)
-    delta_obs, r, times, values = read_observations(args.obs)
+    table = _parse(args.table, load_table, args.table)
+    delta_obs, r, times, values = _parse(args.obs, read_observations, args.obs)
     os.makedirs(args.out, exist_ok=True)
     state_csv = os.path.join(args.out, "states.csv")
     est_csv = os.path.join(args.out, "estimates.csv")
@@ -65,7 +73,7 @@ def _cmd_filter(args) -> int:
         return 0
     check_consistency(cfg, table, delta_obs, r)
     pipe = build_pipeline(cfg)
-    windows = cut_windows(times, values, cfg.delta)
+    windows = _parse(args.obs, cut_windows, times, values, cfg.delta)
     run = run_filter(table, pipe.tbasis, pipe.p_init, windows,
                      f_coeffs=pipe.f_coeffs, one_coeffs=pipe.one_coeffs)
     write_state_csv(state_csv, run)
@@ -84,7 +92,7 @@ def _cmd_compare(args) -> int:
     pipe = build_pipeline(cfg)
     if pipe.bundle.linear is None:
         raise ConfigError(f"model.name: no exact oracle for '{cfg.model_name}'")
-    delta_obs, _, times, values = read_observations(args.obs)
+    delta_obs, _, times, values = _parse(args.obs, read_observations, args.obs)
     est_t, est = _read_estimate_csv(args.est)
     means, _ = kalman_bucy(pipe.bundle.linear, values[:, 0], delta_obs)
     stride = int(round(cfg.delta / delta_obs))
@@ -177,7 +185,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+        print(f"invalid input [{args.command}]: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # runtime failure: report the stage and fail with 1
         print(f"error [{args.command}]: {exc}", file=sys.stderr)

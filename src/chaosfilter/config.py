@@ -4,7 +4,7 @@ Files hold 'section.key = value' lines ('#' starts a comment); there are
 no nested structures, so any tooling can parse them.  Sections: model
 (named built-in plus free coefficients), discretization (K, N, n, delta,
 T, steps, quadrature), run (seed, paths, outdir) and budget (optional
-constants forwarded to the error-budget report).  Every documented
+constants C and eps_B for the sweep's bound columns).  Every documented
 precondition is checked here, before any work happens, and violations
 name the offending field.
 """
@@ -18,13 +18,13 @@ from .propagator import default_substeps
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; the message names the field."""
+    """Invalid configuration or input file; the message names the field or the file."""
 
 
 _MODEL_KEYS = {"name", "a", "sigma", "rho", "h", "eps", "m0", "P0"}
 _DISC_KEYS = {"K", "N", "n", "delta", "T", "delta_obs", "delta_sim", "substeps", "quad_m"}
 _RUN_KEYS = {"seed", "paths", "outdir"}
-_BUDGET_KEYS = {"C", "c_nu_T", "c_nu_T_w", "C_f", "nu", "w", "C_rho", "eps_B"}
+_BUDGET_KEYS = {"C", "eps_B"}
 
 
 @dataclass
@@ -91,14 +91,14 @@ class ExperimentConfig:
         if self.paths < 1:
             raise ConfigError(f"run.paths: must be >= 1, got {self.paths}")
         for key, val in self.budget.items():
-            if key != "nu" and val < 0:
+            if val < 0:
                 raise ConfigError(f"budget.{key}: must be nonnegative, got {val}")
         return self
 
 
 def _convert(section, key, value):
     ints = {("discretization", k) for k in ("K", "N", "n", "substeps", "quad_m")}
-    ints |= {("run", "seed"), ("run", "paths"), ("budget", "nu")}
+    ints |= {("run", "seed"), ("run", "paths")}
     if (section, key) in ints:
         try:
             return int(value)

@@ -94,6 +94,15 @@ def _from_slot_vector(vec, n, r):
     return MultiIndex.from_dict(counts, r)
 
 
+def slot_counts(indices, n: int, r: int) -> np.ndarray:
+    """Inverse of _from_slot_vector, row by row: column (k-1)*r + l-1 holds alpha_k^l."""
+    out = np.zeros((len(indices), n * r), dtype=np.intp)
+    for a, alpha in enumerate(indices):
+        for (k, l), c in alpha.entries:
+            out[a, (k - 1) * r + l - 1] = c
+    return out
+
+
 def enumerate_truncated(N: int, n: int, r: int) -> list[MultiIndex]:
     """All multi-indices with |alpha| <= N and d(alpha) <= n, in canonical order.
 

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
 
 from .galerkin import GalerkinSystem
 from .hermite import SpatialBasis, basis_fields, decode_header, encode_header
-from .multiindex import MultiIndex, empty_index, enumerate_truncated, factorial, from_line, lower, to_line
+from .multiindex import (MultiIndex, enumerate_truncated, factorial, from_line, lower, slot_counts,
+                         to_line)
 
 
 @dataclass(frozen=True)
@@ -118,32 +120,17 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S
     return rk4(rhs, S0, tbasis.delta / substeps, substeps)
 
 
-def _closure(alpha: MultiIndex):
-    seen = {alpha}
-    stack = [alpha]
-    while stack:
-        cur = stack.pop()
-        for (k, l), _ in cur.entries:
-            low = lower(cur, k, l)
-            if low not in seen:
-                seen.add(low)
-                stack.append(low)
-    root = empty_index(alpha.r)
-    seen.add(root)
-    return sorted(seen, key=lambda a: (a.length, a.entries))
-
-
 def solve_phi(system: GalerkinSystem, tbasis: TemporalBasis, alpha: MultiIndex, zeta,
               substeps: int | None = None) -> np.ndarray:
-    """phi_alpha(delta; zeta) by one 4th-order pass over the lowering closure."""
+    """phi_alpha(delta; zeta) by one 4th-order pass over the truncated set holding alpha."""
     if substeps is None:
         substeps = default_substeps(tbasis.n)
     if alpha.order > tbasis.n:
         raise ValueError(f"alpha uses mode {alpha.order} beyond the basis ({tbasis.n})")
-    indices = _closure(alpha)
-    zeta = np.asarray(zeta, dtype=float)
+    # Closed under lowering, and the canonical order starts with the empty index.
+    indices = enumerate_truncated(alpha.length, max(alpha.order, 1), alpha.r)
     S0 = np.zeros((len(indices), system.K, 1))
-    S0[indices.index(empty_index(alpha.r)), :, 0] = zeta
+    S0[0, :, 0] = zeta
     S = _integrate_stacked(system, tbasis, indices, S0, substeps)
     return S[indices.index(alpha), :, 0].copy()
 
@@ -168,6 +155,11 @@ class PropagatorTable:
 
     def matrix_for(self, alpha: MultiIndex) -> np.ndarray:
         return self.matrices[self.indices.index(alpha)]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(n_indices, n*r) per-slot counts of the indices (multiindex.slot_counts)."""
+        return slot_counts(self.indices, self.n, self.r)
 
 
 def precompute_table(system: GalerkinSystem, tbasis: TemporalBasis, N: int, n: int,

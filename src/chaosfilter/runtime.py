@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import SpatialBasis, basis_tables
-from .multiindex import factorial, xi_eval
+from .multiindex import hermite_poly
 from .propagator import PropagatorTable, TemporalBasis
 
 
@@ -54,18 +54,16 @@ class ObservationWindow:
         return (self.t_end - self.t_start) / (self.times.size - 1)
 
 
-def xi_integrals(window: ObservationWindow, tbasis: TemporalBasis) -> dict[tuple[int, int], float]:
-    """Mode integrals of the observation increments over one window.
+def xi_integrals(window: ObservationWindow, tbasis: TemporalBasis) -> np.ndarray:
+    """Mode integrals of the observation increments over one window; row k-1 holds mode k.
 
-    Mode 1 is the exact scaled increment (Y(t_end) - Y(t_start))/sqrt(delta).
-    Higher modes integrate by parts and discretize the remaining Riemann
+    Each mode integrates by parts and discretizes the remaining Riemann
     term with the trapezoidal rule in the form
     m_k(delta) Y_end - m_k(0) Y_0 - sum_j (Y_j + Y_{j+1})/2 * (m_k diff),
-    whose m-differences telescope, so constant paths give exactly zero.
+    whose m-differences telescope, so constant paths give exactly zero and
+    mode 1 gives the scaled increment (Y(t_end) - Y(t_start))/sqrt(delta).
     """
-    delta = window.delta
-    n, r = tbasis.n, window.values.shape[1]
-    max_spacing = delta / (8.0 * n)
+    max_spacing = window.delta / (8.0 * tbasis.n)
     if window.spacing > max_spacing * (1.0 + 1e-9):
         raise ValueError(
             f"window spacing {window.spacing:.3g} too coarse: need <= delta/(8 n) "
@@ -73,29 +71,25 @@ def xi_integrals(window: ObservationWindow, tbasis: TemporalBasis) -> dict[tuple
         )
     Y = np.asarray(window.values, dtype=float)
     s = window.times - window.t_start
-    out: dict[tuple[int, int], float] = {}
-    inv_sqrt = 1.0 / math.sqrt(delta)
-    for l in range(1, r + 1):
-        out[(1, l)] = float((Y[-1, l - 1] - Y[0, l - 1]) * inv_sqrt)
-    for k in range(2, n + 1):
-        mk = tbasis.eval(k, s)
-        dm = np.diff(mk)
-        for l in range(1, r + 1):
-            y = Y[:, l - 1]
-            stieltjes = float(np.sum(0.5 * (y[:-1] + y[1:]) * dm))
-            out[(k, l)] = float(mk[-1] * y[-1] - mk[0] * y[0] - stieltjes)
-    return out
+    m = np.array([tbasis.eval(k, s) for k in range(1, tbasis.n + 1)])    # (n, npts)
+    return (m[:, -1:] * Y[-1] - m[:, :1] * Y[0]
+            - np.diff(m, axis=1) @ (0.5 * (Y[:-1] + Y[1:])))
 
 
-def step_matrix(table: PropagatorTable, xi: dict[tuple[int, int], float]) -> np.ndarray:
-    """One-window transition matrix Q from the table and the xi integrals.
+def step_matrix(table: PropagatorTable, xi) -> np.ndarray:
+    """One-window transition matrix Q from the table and the (n', r) xi integrals, n' >= n.
 
-    Each index contributes its flow matrix weighted by the expansion
-    weight xi_alpha / sqrt(alpha!) (the Wick product divided by alpha!),
-    so that p <- Q p reproduces the truncated chaos recursion.
+    Each index contributes its flow matrix weighted by the Wick product
+    divided by alpha!, the product over slots of H_c(xi_slot) / c!, so
+    that p <- Q p reproduces the truncated chaos recursion.
     """
-    weights = np.array([xi_eval(alpha, xi) / math.sqrt(factorial(alpha))
-                        for alpha in table.indices])
+    xi = np.asarray(xi, dtype=float)
+    n, r = table.n, table.r
+    if xi.ndim != 2 or xi.shape[0] < n or xi.shape[1] != r:
+        raise ValueError(f"xi of shape {xi.shape} does not cover the table's ({n}, {r}) slots")
+    x = xi[:n].reshape(-1)                  # slot (k-1)*r + l-1
+    scaled = np.array([hermite_poly(c, x) / math.factorial(c) for c in range(table.N + 1)])
+    weights = np.prod(scaled[table.counts, np.arange(x.size)], axis=1)
     return np.tensordot(weights, table.matrices, axes=(0, 0))
 
 
@@ -192,7 +186,7 @@ def read_observations(path):
     rows = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
     if rows:
         try:
-            data = np.array(rows)
+            data = np.array(rows).reshape(len(rows), 1 + r)
         except ValueError:
             bad = next(i for i, row in enumerate(rows) if len(row) != 1 + r)
             with open(path) as fh:
@@ -220,13 +214,13 @@ def cut_windows(times, values, delta: float) -> list[ObservationWindow]:
     per_i = int(round(per))
     if abs(per - per_i) > 1e-9 or per_i < 1:
         raise ValueError(f"window length {delta} is not a multiple of the sampling step {spacing}")
-    nwin = (times.size - 1) // per_i
-    out = []
-    for i in range(nwin):
-        sl = slice(i * per_i, i * per_i + per_i + 1)
-        out.append(ObservationWindow(t_start=float(times[sl][0]), t_end=float(times[sl][-1]),
-                                     times=times[sl], values=values[sl]))
-    return out
+    rest = (times.size - 1) % per_i
+    if rest:
+        raise ValueError(f"{rest} samples from t={times[-rest]:.17g} do not fill "
+                         f"a window of length {delta}")
+    return [ObservationWindow(t_start=float(times[i]), t_end=float(times[i + per_i]),
+                              times=times[i:i + per_i + 1], values=values[i:i + per_i + 1])
+            for i in range(0, times.size - 1, per_i)]
 
 
 @dataclass
@@ -253,21 +247,16 @@ def run_filter(table: PropagatorTable, tbasis: TemporalBasis, p_init, windows,
     floor = 0.0
     if one_coeffs is not None:
         floor = floor_rel * abs(functional(state, one_coeffs))
-    times = [state.t]
-    states = [state.p.copy()]
-    masses = [functional(state, one_coeffs) if one_coeffs is not None else math.nan]
-    ests = [estimate(state, f_coeffs, one_coeffs, floor)] if want_est else None
-    for win in windows:
-        xi = xi_integrals(win, tbasis)
-        Q = step_matrix(table, xi)
-        state = advance(state, Q, win.delta)
+    times, states, masses, ests = [], [], [], []
+    for win in [None, *windows]:
+        if win is not None:
+            state = advance(state, step_matrix(table, xi_integrals(win, tbasis)), win.delta)
         times.append(state.t)
-        states.append(state.p.copy())
+        states.append(state.p)
         masses.append(functional(state, one_coeffs) if one_coeffs is not None else math.nan)
         if want_est:
             ests.append(estimate(state, f_coeffs, one_coeffs, floor))
-    return FilterRun(times=np.array(times), states=np.array(states),
-                     masses=np.array(masses),
+    return FilterRun(times=np.array(times), states=np.array(states), masses=np.array(masses),
                      estimates=np.array(ests) if want_est else None)
 
 

@@ -57,6 +57,7 @@ def test_parse_config_comments_and_budget():
     ("discretization.quad_m = 500", "discretization.quad_m"),
     ("run.paths = 0", "run.paths"),
     ("budget.C = -2", "budget.C"),
+    ("budget.nu = 3", "budget.nu"),
 ])
 def test_validation_names_fields(line, field):
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
@@ -162,6 +163,29 @@ def test_filter_metadata_mismatch_is_validation_failure(tmp_path):
     write_observations(obs, 0.00625, t, np.zeros((65, 1)))
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_truncated_table_is_validation_failure(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table), "--binary"]) == 0
+    table.write_bytes(table.read_bytes()[:-8])
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert "table.tbl: truncated matrix 3 of 3" in capsys.readouterr().err
+
+
+def test_ragged_replay_is_validation_failure(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    obs.write_text("delta_obs=0.00625\nr=1\n0 0\n0.00625 0\n0.0125\n")
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert "obs.txt: line 5: expected 2 columns, found 1" in capsys.readouterr().err
 
 
 def test_missing_file_is_runtime_error(tmp_path):

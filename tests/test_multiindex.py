@@ -6,7 +6,7 @@ from numpy.polynomial import hermite_e
 
 from chaosfilter.multiindex import (MultiIndex, characteristic_set, empty_index,
                                     enumerate_truncated, factorial, from_line, hermite_poly,
-                                    lower, to_line, xi_eval)
+                                    lower, slot_counts, to_line, xi_eval)
 
 # The r=2 worked reference index: nonzero entries
 # a_2^1 = 1, a_4^1 = 2, a_5^1 = 3, a_1^2 = 1, a_2^2 = 2, a_6^2 = 1.
@@ -64,6 +64,15 @@ def test_enumerate_order_is_graded_then_lex():
             assert slot_vector(prev) > slot_vector(cur)
     # mass on the first slot leads each grade
     assert slot_vector(out[1]) == (1, 0, 0, 0)
+
+
+def test_slot_counts_follow_the_enumeration_slots():
+    out = enumerate_truncated(3, 2, 2)
+    counts = slot_counts(out, 2, 2)
+    assert counts.shape == (len(out), 4)
+    for a, row in zip(out, counts):
+        assert tuple(row) == tuple(a.count(k, l) for k in (1, 2) for l in (1, 2))
+    assert counts.sum(axis=1).tolist() == [a.length for a in out]
 
 
 def test_enumerate_rejects_bad_arguments():

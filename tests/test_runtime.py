@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from chaosfilter import experiments
+from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import build_basis, project
+from chaosfilter.multiindex import factorial, xi_eval
 from chaosfilter.propagator import cosine_basis, precompute_table
 from chaosfilter.runtime import (DegenerateNormalizationError, FilterState, ObservationWindow,
                                  advance, cut_windows, density_at, estimate, functional,
@@ -41,7 +44,7 @@ def test_xi_integrals_constant_path_is_exactly_zero():
     tb = cosine_basis(1.0, 6)
     win = make_window(fn=lambda t: 3.7 * np.ones_like(t))
     xi = xi_integrals(win, tb)
-    for (k, l), v in xi.items():
+    for (k, l), v in np.ndenumerate(np.abs(xi)):
         assert abs(v) < 1e-12, (k, l)
 
 
@@ -49,8 +52,8 @@ def test_xi_integrals_linear_path():
     tb = cosine_basis(1.0, 2)
     win = make_window(fn=lambda t: t)
     xi = xi_integrals(win, tb)
-    assert xi[(1, 1)] == pytest.approx(1.0, rel=1e-14)
-    assert abs(xi[(2, 1)]) < 1e-4
+    assert xi[0, 0] == pytest.approx(1.0, rel=1e-14)
+    assert abs(xi[1, 0]) < 1e-4
 
 
 def test_xi_integrals_trapezoid_refinement_second_order():
@@ -65,7 +68,7 @@ def test_xi_integrals_trapezoid_refinement_second_order():
     errs = {}
     for npts in (129, 257):
         xi = xi_integrals(make_window(npts=npts, fn=fn), tb)
-        errs[npts] = max(abs(xi[(k, 1)] - exact[k]) for k in (2, 3, 4))
+        errs[npts] = max(abs(xi[k - 1, 0] - exact[k]) for k in (2, 3, 4))
     assert errs[129] / errs[257] == pytest.approx(4.0, rel=0.15)
 
 
@@ -80,7 +83,7 @@ def test_step_matrix_n0_is_matrix_exponential(ou_system_k8):
     tb = cosine_basis(0.25, 1)
     table = precompute_table(ou_system_k8, tb, 0, 1, substeps=256)
     rng = np.random.default_rng(0)
-    xi = {(1, 1): rng.normal()}
+    xi = np.array([[rng.normal()]])
     Q = step_matrix(table, xi)
     assert np.max(np.abs(Q - expm(ou_system_k8.A * 0.25))) < 1e-10
 
@@ -88,7 +91,7 @@ def test_step_matrix_n0_is_matrix_exponential(ou_system_k8):
 def test_step_matrix_zero_integrals_at_N1(ou_system_k8):
     tb = cosine_basis(0.25, 2)
     table = precompute_table(ou_system_k8, tb, 1, 2, substeps=256)
-    xi = {(1, 1): 0.0, (2, 1): 0.0}
+    xi = np.array([[0.0], [0.0]])
     Q = step_matrix(table, xi)
     assert np.max(np.abs(Q - expm(ou_system_k8.A * 0.25))) < 1e-10
 
@@ -97,7 +100,7 @@ def test_step_matrix_scalar_one_mode():
     b, delta = 0.5, 1.0
     table = scalar_table(b=b, delta=delta)
     dY = 0.37
-    xi = {(1, 1): dY / math.sqrt(delta)}
+    xi = np.array([[dY / math.sqrt(delta)]])
     Q = step_matrix(table, xi)
     assert Q[0, 0] == pytest.approx(1.0 + b * dY, rel=1e-12)
 
@@ -171,7 +174,7 @@ def test_pipeline_linearity(ou_system_k8):
     tb = cosine_basis(0.25, 2)
     table = precompute_table(ou_system_k8, tb, 2, 2)
     rng = np.random.default_rng(8)
-    xi = {(1, 1): rng.normal(), (2, 1): rng.normal()}
+    xi = np.array([[rng.normal()], [rng.normal()]])
     Q = step_matrix(table, xi)
     p1, p2 = rng.normal(size=8), rng.normal(size=8)
     a, b = 0.3, -1.7
@@ -268,3 +271,107 @@ def test_read_observations_names_first_ragged_line(tmp_path):
     path.write_text("delta_obs=0.1\nr=2\n0 1 2\n\n0.1 1 2\n0.2 1\n0.3 1 2 3\n")
     with pytest.raises(ValueError, match=r"obs\.txt: line 6: expected 3 columns, found 2"):
         read_observations(path)
+
+
+def test_read_observations_rejects_too_few_columns(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_text("delta_obs=0.1\nr=2\n0 1\n0.1 1\n0.2 1\n")
+    with pytest.raises(ValueError, match=r"obs\.txt: line 3: expected 3 columns, found 2"):
+        read_observations(path)
+
+
+def test_read_observations_rejects_extra_columns(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_text("delta_obs=0.1\nr=1\n0 1 2\n0.1 1 2\n")
+    with pytest.raises(ValueError, match=r"obs\.txt: line 3: expected 2 columns, found 3"):
+        read_observations(path)
+
+
+def test_cut_windows_rejects_trailing_partial_window():
+    t = np.arange(106) * 0.01
+    with pytest.raises(ValueError, match=r"5 samples from t=1\.01 do not fill a window"):
+        cut_windows(t, np.sin(t)[:, None], 0.25)
+
+
+# The dict-based xi integrals and step matrix that the array forms replaced,
+# kept as their oracle.
+
+def dict_xi_integrals(window, tbasis):
+    delta = window.delta
+    n, r = tbasis.n, window.values.shape[1]
+    Y = np.asarray(window.values, dtype=float)
+    s = window.times - window.t_start
+    out = {}
+    for l in range(1, r + 1):
+        out[(1, l)] = float((Y[-1, l - 1] - Y[0, l - 1]) / math.sqrt(delta))
+    for k in range(2, n + 1):
+        mk = tbasis.eval(k, s)
+        dm = np.diff(mk)
+        for l in range(1, r + 1):
+            y = Y[:, l - 1]
+            stieltjes = float(np.sum(0.5 * (y[:-1] + y[1:]) * dm))
+            out[(k, l)] = float(mk[-1] * y[-1] - mk[0] * y[0] - stieltjes)
+    return out
+
+
+def dict_step_matrix(table, xi):
+    weights = np.array([xi_eval(alpha, xi) / math.sqrt(factorial(alpha))
+                        for alpha in table.indices])
+    return np.tensordot(weights, table.matrices, axes=(0, 0))
+
+
+def brownian_windows(delta, n, r, count, seed):
+    npts = 8 * n * 4 + 1
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, delta, npts)
+    out = []
+    for _ in range(count):
+        dY = rng.normal(scale=math.sqrt(delta / (npts - 1)), size=(npts - 1, r))
+        Y = np.concatenate([np.zeros((1, r)), np.cumsum(dY, axis=0)]) + rng.normal(size=r)
+        out.append(ObservationWindow(0.0, delta, t, Y))
+    return out
+
+
+def assert_matches_dict_path(table, tb, windows):
+    for win in windows:
+        xi = xi_integrals(win, tb)
+        ref = dict_xi_integrals(win, tb)
+        assert xi.shape == (tb.n, win.values.shape[1])
+        for (k, l), v in ref.items():
+            assert abs(xi[k - 1, l - 1] - v) <= 1e-13 * max(1.0, abs(v)), (k, l)
+        Q, Q_ref = step_matrix(table, xi), dict_step_matrix(table, ref)
+        assert np.max(np.abs(Q - Q_ref)) <= 1e-13 * np.max(np.abs(Q_ref))
+
+
+def test_array_step_matches_dict_path_correlated_ou():
+    cfg = parse_config("model.name = correlated-ou\ndiscretization.K = 32\n"
+                       "discretization.N = 3\ndiscretization.n = 8\n"
+                       "discretization.delta = 0.01\ndiscretization.T = 0.05\n")
+    pipe = experiments.build_pipeline(cfg)
+    table = experiments.make_table(pipe)
+    assert len(table.indices) == 165
+    assert_matches_dict_path(table, pipe.tbasis, brownian_windows(0.01, 8, 1, 5, seed=4))
+
+
+def test_array_step_matches_dict_path_two_channels():
+    rng = np.random.default_rng(17)
+    sys_ = GalerkinSystem(K=4, r=2, A=rng.normal(size=(4, 4)), B=rng.normal(size=(2, 4, 4)),
+                          basis=build_basis(1, 4))
+    tb = cosine_basis(0.1, 3)
+    table = precompute_table(sys_, tb, 3, 3)
+    assert_matches_dict_path(table, tb, brownian_windows(0.1, 3, 2, 5, seed=5))
+
+
+def test_array_step_matches_dict_path_table_below_basis(ou_system_k8):
+    tb = cosine_basis(0.25, 4)
+    table = precompute_table(ou_system_k8, tb, 2, 2)
+    assert table.n < tb.n
+    assert_matches_dict_path(table, tb, brownian_windows(0.25, 4, 1, 5, seed=6))
+
+
+def test_step_matrix_rejects_xi_of_wrong_shape(ou_system_k8):
+    table = precompute_table(ou_system_k8, cosine_basis(0.25, 2), 1, 2)
+    with pytest.raises(ValueError, match=r"\(1, 1\).*\(2, 1\)"):
+        step_matrix(table, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=r"\(2, 2\).*\(2, 1\)"):
+        step_matrix(table, np.zeros((2, 2)))
