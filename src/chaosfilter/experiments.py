@@ -18,7 +18,7 @@ from .models import ModelBundle, build_model
 from .propagator import (ErrorBudget, PropagatorTable, TemporalBasis, chaos_error_bound,
                          cosine_basis, precompute_table)
 from .reference import kalman_bucy
-from .runtime import cut_windows, run_filter
+from .runtime import _recursion, _samples_per_window, _xi_weights
 from .simulate import SimulationConfig, simulate_paths
 
 
@@ -89,17 +89,24 @@ def simulate_full(cfg: ExperimentConfig, pipe: Pipeline, npaths: int, seed=None)
 
 
 def chaos_estimates(pipe: Pipeline, table: PropagatorTable, times, Y, stride: int):
-    """Run the recursion on each path; returns (window times, estimates (npaths, M+1))."""
+    """Run the recursion on all paths together; returns (window times, estimates (npaths, M+1)).
+
+    The xi integrals of every window of every path come from one stacked
+    product of the trapezoid weights with the (P, M, npts, r) window
+    samples; the paths then advance together through the same window loop
+    as run_filter, and each row equals that path's run_filter estimates.
+    """
     cfg = pipe.cfg
-    sub_t = times[::stride]
-    out = []
-    for yp in Y:
-        windows = cut_windows(sub_t, yp[::stride], cfg.delta)
-        run = run_filter(table, pipe.tbasis, pipe.p_init, windows,
-                         f_coeffs=pipe.f_coeffs, one_coeffs=pipe.one_coeffs)
-        out.append(run.estimates)
+    sub_t = np.asarray(times, dtype=float)[::stride]
+    Y = np.asarray(Y, dtype=float)
+    Y = (Y if Y.ndim == 3 else Y[:, :, None])[:, ::stride]
+    per = _samples_per_window(sub_t, cfg.delta)
+    starts = np.arange(0, sub_t.size - 1, per)
+    weights = _xi_weights(pipe.tbasis, sub_t[per] - sub_t[0], per + 1)
+    xi = np.matmul(weights, Y[:, starts[:, None] + np.arange(per + 1)])
+    _, _, est = _recursion(table, xi, pipe.p_init, sub_t[::per], pipe.f_coeffs, pipe.one_coeffs)
     nwin = int(round(cfg.T / cfg.delta))
-    return np.arange(nwin + 1) * cfg.delta, np.array(out)
+    return np.arange(nwin + 1) * cfg.delta, est
 
 
 def oracle_estimates(pipe: Pipeline, times, Y, stride: int):

@@ -4,11 +4,13 @@ Each window of length delta is reduced to the stochastic integrals
 xi_{k,l} of the cosine modes against the observation path, the Wick
 products of those integrals weight the precomputed flow matrices into a
 single step matrix Q, and the coefficient vector advances by p <- Q p.
-Densities and conditional estimates are then linear reads of p.
+Densities and conditional estimates are then linear reads of p.  One
+window loop advances a stack of paths together; run_filter feeds it one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +23,9 @@ from .propagator import PropagatorTable, TemporalBasis
 
 class DegenerateNormalizationError(RuntimeError):
     """Normalization mass fell below the floor; estimates are meaningless."""
+
+
+_FLOOR_REL = 1e-12  # default degenerate-normalization floor, relative to the initial mass
 
 
 @dataclass(frozen=True)
@@ -49,48 +54,97 @@ class ObservationWindow:
     def delta(self) -> float:
         return self.t_end - self.t_start
 
-    @property
-    def spacing(self) -> float:
-        return (self.t_end - self.t_start) / (self.times.size - 1)
+
+@functools.lru_cache(maxsize=32)
+def _trapezoid_weights(tbasis: TemporalBasis, npts: int) -> np.ndarray:
+    """(n, npts) weights of the by-parts trapezoid rule on linspace(0, delta, npts).
+
+    Row k-1 applied to the samples gives m_k(delta) Y_end - m_k(0) Y_0
+    - sum_j (Y_j + Y_{j+1})/2 * (m_k(s_{j+1}) - m_k(s_j)).  Read-only.
+    """
+    s = np.linspace(0.0, tbasis.delta, npts)
+    m = np.array([tbasis.eval(k, s) for k in range(1, tbasis.n + 1)])
+    half = 0.5 * np.diff(m, axis=1)
+    w = np.zeros_like(m)
+    w[:, :-1] -= half
+    w[:, 1:] -= half
+    w[:, 0] -= m[:, 0]
+    w[:, -1] += m[:, -1]
+    w.flags.writeable = False
+    return w
+
+
+def _xi_weights(tbasis: TemporalBasis, length: float, npts: int) -> np.ndarray:
+    """Trapezoid weights for a window of `length` sampled at npts points, after checking both."""
+    if abs(length - tbasis.delta) > 1e-9 * tbasis.delta:
+        raise ValueError(f"window length {length:.17g} differs from the temporal basis "
+                         f"length {tbasis.delta:.17g}")
+    spacing, max_spacing = length / (npts - 1), tbasis.delta / (8.0 * tbasis.n)
+    if spacing > max_spacing * (1.0 + 1e-9):
+        raise ValueError(
+            f"window spacing {spacing:.3g} too coarse: need <= delta/(8 n) "
+            f"= {max_spacing:.3g} to resolve the fastest cosine"
+        )
+    return _trapezoid_weights(tbasis, npts)
 
 
 def xi_integrals(window: ObservationWindow, tbasis: TemporalBasis) -> np.ndarray:
     """Mode integrals of the observation increments over one window; row k-1 holds mode k.
 
     Each mode integrates by parts and discretizes the remaining Riemann
-    term with the trapezoidal rule in the form
-    m_k(delta) Y_end - m_k(0) Y_0 - sum_j (Y_j + Y_{j+1})/2 * (m_k diff),
-    whose m-differences telescope, so constant paths give exactly zero and
-    mode 1 gives the scaled increment (Y(t_end) - Y(t_start))/sqrt(delta).
+    term with the trapezoidal rule, whose m-differences telescope, so
+    constant paths give zero up to rounding and mode 1 gives the scaled
+    increment (Y(t_end) - Y(t_start))/sqrt(delta).  The rule is linear in
+    the samples: one cached (n, npts) weight matrix per sample count.
     """
-    max_spacing = window.delta / (8.0 * tbasis.n)
-    if window.spacing > max_spacing * (1.0 + 1e-9):
-        raise ValueError(
-            f"window spacing {window.spacing:.3g} too coarse: need <= delta/(8 n) "
-            f"= {max_spacing:.3g} to resolve the fastest cosine"
-        )
-    Y = np.asarray(window.values, dtype=float)
-    s = window.times - window.t_start
-    m = np.array([tbasis.eval(k, s) for k in range(1, tbasis.n + 1)])    # (n, npts)
-    return (m[:, -1:] * Y[-1] - m[:, :1] * Y[0]
-            - np.diff(m, axis=1) @ (0.5 * (Y[:-1] + Y[1:])))
+    weights = _xi_weights(tbasis, window.delta, window.times.size)
+    return weights @ np.ascontiguousarray(window.values, dtype=float)
+
+
+def _hermite_table(table: PropagatorTable, xi: np.ndarray) -> np.ndarray:
+    """(..., (N+1) n r) values H_c(xi_slot) / c!, c <= N, at c n r + slot.
+
+    xi is (..., n', r) with n' >= n; only its first n modes are read.
+    """
+    n, r = table.n, table.r
+    if xi.shape[-2] < n or xi.shape[-1] != r:
+        raise ValueError(f"xi of shape {xi.shape[-2:]} does not cover the table's ({n}, {r}) slots")
+    x = xi[..., :n, :].reshape(*xi.shape[:-2], n * r)      # slot (k-1)*r + l-1
+    return np.concatenate([hermite_poly(c, x) / math.factorial(c) for c in range(table.N + 1)],
+                          axis=-1)
+
+
+def _chaos_weights(table: PropagatorTable, H: np.ndarray) -> np.ndarray:
+    """(..., |J|) chaos weights from a Hermite table of _hermite_table.
+
+    The weight of an index is its Wick product divided by alpha!, the
+    product over slots of H_c(xi_slot) / c!, gathered with the table's
+    slot counts and multiplied slot by slot.  C-contiguous, so that each
+    row takes the same BLAS path in a stacked product as on its own.
+    """
+    slots = table.counts.shape[1]
+    pick = table.counts.T * slots + np.arange(slots)[:, None]     # (n r, |J|) positions in H
+    return np.ascontiguousarray(np.multiply.reduce(np.take(H, pick, axis=-1), axis=-2))
+
+
+def _weighted_sum(table: PropagatorTable, W: np.ndarray) -> np.ndarray:
+    """(P, K, K) step matrices sum_a W[p, a] matrices[a], one gemv per path."""
+    K = table.K
+    return np.matmul(W[:, None, :], table.matrices.reshape(W.shape[1], K * K)).reshape(-1, K, K)
 
 
 def step_matrix(table: PropagatorTable, xi) -> np.ndarray:
     """One-window transition matrix Q from the table and the (n', r) xi integrals, n' >= n.
 
     Each index contributes its flow matrix weighted by the Wick product
-    divided by alpha!, the product over slots of H_c(xi_slot) / c!, so
-    that p <- Q p reproduces the truncated chaos recursion.
+    divided by alpha!, so that p <- Q p reproduces the truncated chaos
+    recursion.
     """
     xi = np.asarray(xi, dtype=float)
-    n, r = table.n, table.r
-    if xi.ndim != 2 or xi.shape[0] < n or xi.shape[1] != r:
-        raise ValueError(f"xi of shape {xi.shape} does not cover the table's ({n}, {r}) slots")
-    x = xi[:n].reshape(-1)                  # slot (k-1)*r + l-1
-    scaled = np.array([hermite_poly(c, x) / math.factorial(c) for c in range(table.N + 1)])
-    weights = np.prod(scaled[table.counts, np.arange(x.size)], axis=1)
-    return np.tensordot(weights, table.matrices, axes=(0, 0))
+    if xi.ndim != 2:
+        raise ValueError(f"xi of shape {xi.shape} does not cover the table's "
+                         f"({table.n}, {table.r}) slots")
+    return _weighted_sum(table, _chaos_weights(table, _hermite_table(table, xi[None])))[0]
 
 
 @dataclass(frozen=True)
@@ -105,10 +159,11 @@ class FilterState:
 
 def advance(state: FilterState, Q: np.ndarray, delta: float) -> FilterState:
     """p <- Q p, t <- t + delta."""
-    p = Q @ state.p
-    if not np.all(np.isfinite(p)):
-        raise FloatingPointError(f"filter state became non-finite at t={state.t + delta}")
-    return FilterState(t=state.t + delta, p=p)
+    t = state.t + delta
+    try:
+        return FilterState(t=t, p=Q @ state.p)
+    except ValueError:
+        raise FloatingPointError(f"filter state became non-finite at t={t}") from None
 
 
 def density_at(state: FilterState, basis: SpatialBasis, x):
@@ -136,7 +191,12 @@ def negative_mass_fraction(state: FilterState, basis: SpatialBasis, grid) -> flo
 
 def functional(state: FilterState, f_coeffs) -> float:
     """Unnormalized estimate sum_j f_j p_j."""
-    return float(np.asarray(f_coeffs, dtype=float) @ state.p)
+    return float(state.p @ np.asarray(f_coeffs, dtype=float))
+
+
+def _reads(p: np.ndarray, f_coeffs) -> np.ndarray:
+    """functional for each row of p (P, K): the same dot product per row, stacked."""
+    return np.matmul(p[:, None, :], np.asarray(f_coeffs, dtype=float))[:, 0]
 
 
 def estimate(state: FilterState, f_coeffs, one_coeffs, floor: float = 0.0) -> float:
@@ -199,17 +259,13 @@ def read_observations(path):
     return delta_obs, r, times, values
 
 
-def cut_windows(times, values, delta: float) -> list[ObservationWindow]:
-    """Slice a uniformly sampled path into consecutive windows of length delta."""
-    times = np.asarray(times, dtype=float)
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != times.size:
-        values = values.T
-    if times.size == 0:
-        return []
+def _samples_per_window(times: np.ndarray, delta: float) -> int:
+    """Sample steps per window of length delta on the uniform grid `times` (>= 2 samples)."""
     if times.size == 1:
         raise ValueError("cutting windows needs at least two samples, got one")
     spacing = float(times[1] - times[0])
+    if np.max(np.abs(np.diff(times) - spacing)) > 1e-12 * max(1.0, abs(spacing)):
+        raise ValueError("window sampling must be uniform")
     per = delta / spacing
     per_i = int(round(per))
     if abs(per - per_i) > 1e-9 or per_i < 1:
@@ -218,6 +274,18 @@ def cut_windows(times, values, delta: float) -> list[ObservationWindow]:
     if rest:
         raise ValueError(f"{rest} samples from t={times[-rest]:.17g} do not fill "
                          f"a window of length {delta}")
+    return per_i
+
+
+def cut_windows(times, values, delta: float) -> list[ObservationWindow]:
+    """Slice a uniformly sampled path into consecutive windows of length delta."""
+    times = np.asarray(times, dtype=float)
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.shape[0] != times.size:
+        values = values.T
+    if times.size == 0:
+        return []
+    per_i = _samples_per_window(times, delta)
     return [ObservationWindow(t_start=float(times[i]), t_end=float(times[i + per_i]),
                               times=times[i:i + per_i + 1], values=values[i:i + per_i + 1])
             for i in range(0, times.size - 1, per_i)]
@@ -231,33 +299,64 @@ class FilterRun:
     estimates: np.ndarray | None   # (M+1,) when f was requested
 
 
+def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs=None,
+               one_coeffs=None, floor_rel: float = _FLOOR_REL):
+    """Advance P paths together over M windows from their (P, M, n', r) xi integrals.
+
+    Per window: chaos weights (P, |J|), step matrices Q (P, K, K), p <- Q p,
+    one finiteness scan, the mass and estimate reads, the floor check.
+    Every product is a stacked matmul, which makes the same BLAS call per
+    path as on one path alone, so each path's numbers do not depend on
+    the others.  `times` (M+1,) only labels errors.  Returns states
+    (P, M+1, K), masses (P, M+1) and estimates (P, M+1) or None.
+    """
+    P, M = xi.shape[:2]
+    start = FilterState(t=times[0], p=np.asarray(p_init, dtype=float))
+    want_est = f_coeffs is not None
+    floor = floor_rel * abs(functional(start, one_coeffs)) if want_est else 0.0
+    p = np.repeat(start.p[None], P, axis=0)
+    states = np.empty((P, M + 1, p.shape[1]))
+    masses = np.full((P, M + 1), math.nan)
+    ests = np.empty((P, M + 1)) if want_est else None
+    H = _hermite_table(table, xi)
+    for i in range(M + 1):
+        if i:
+            Q = _weighted_sum(table, _chaos_weights(table, H[:, i - 1]))
+            p = np.matmul(Q, p[:, :, None])[:, :, 0]
+            if not np.isfinite(p).all():
+                bad = int(np.argmin(np.isfinite(p).all(axis=1)))
+                raise FloatingPointError(f"filter state of path {bad} became non-finite "
+                                         f"in window {i} at t={times[i]}")
+        states[:, i] = p
+        if one_coeffs is not None:
+            masses[:, i] = den = _reads(p, one_coeffs)
+        if want_est:
+            low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
+            if low.any():
+                bad = int(np.argmax(low))
+                raise DegenerateNormalizationError(
+                    f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
+                    f"at t={times[i]} is below the floor {floor:.3e}")
+            ests[:, i] = _reads(p, f_coeffs) / den
+    return states, masses, ests
+
+
 def run_filter(table: PropagatorTable, tbasis: TemporalBasis, p_init, windows,
-               f_coeffs=None, one_coeffs=None, floor_rel: float = 1e-12) -> FilterRun:
+               f_coeffs=None, one_coeffs=None, floor_rel: float = _FLOOR_REL) -> FilterRun:
     """Advance the recursion over consecutive windows.
 
     The degenerate-normalization floor is floor_rel times the initial
     mass, per-run.  Estimates are emitted only when f_coeffs is given
     (one_coeffs then defaults to nothing sensible and must be supplied).
     """
-    state = FilterState(t=windows[0].t_start if windows else 0.0,
-                        p=np.asarray(p_init, dtype=float).copy())
-    want_est = f_coeffs is not None
-    if want_est and one_coeffs is None:
+    if f_coeffs is not None and one_coeffs is None:
         raise ValueError("estimates need one_coeffs (projection of the constant 1)")
-    floor = 0.0
-    if one_coeffs is not None:
-        floor = floor_rel * abs(functional(state, one_coeffs))
-    times, states, masses, ests = [], [], [], []
-    for win in [None, *windows]:
-        if win is not None:
-            state = advance(state, step_matrix(table, xi_integrals(win, tbasis)), win.delta)
-        times.append(state.t)
-        states.append(state.p)
-        masses.append(functional(state, one_coeffs) if one_coeffs is not None else math.nan)
-        if want_est:
-            ests.append(estimate(state, f_coeffs, one_coeffs, floor))
-    return FilterRun(times=np.array(times), states=np.array(states), masses=np.array(masses),
-                     estimates=np.array(ests) if want_est else None)
+    xi = (np.array([xi_integrals(win, tbasis) for win in windows]) if windows
+          else np.empty((0, tbasis.n, table.r)))[None]
+    times = np.cumsum([windows[0].t_start if windows else 0.0, *(w.delta for w in windows)])
+    states, masses, ests = _recursion(table, xi, p_init, times, f_coeffs, one_coeffs, floor_rel)
+    return FilterRun(times=times, states=states[0], masses=masses[0],
+                     estimates=None if ests is None else ests[0])
 
 
 def write_state_csv(path, run: FilterRun) -> None:
