@@ -172,21 +172,30 @@ def factorial(alpha: MultiIndex) -> int:
     return out
 
 
-def hermite_poly(nu: int, x):
-    """Probabilists' Hermite polynomial H_nu via the three-term recurrence.
+def hermite_table(N: int, x) -> np.ndarray:
+    """(N + 1, *shape(x)) values H_0(x) .. H_N(x) from one pass of the recurrence.
 
-    H_0 = 1, H_1 = x, H_{n+1}(x) = x H_n(x) - n H_{n-1}(x).  Works on
-    scalars and numpy arrays alike.
+    Probabilists' Hermite polynomials: H_0 = 1, H_1 = x,
+    H_{m+1}(x) = x H_m(x) - m H_{m-1}(x).
     """
-    if nu < 0:
-        raise ValueError(f"degree must be >= 0, got {nu}")
+    if N < 0:
+        raise ValueError(f"degree must be >= 0, got {N}")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if nu == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for m in range(1, nu):
-        h, h_prev = x * h - m * h_prev, h
+    out = np.empty((N + 1,) + x.shape)
+    out[0] = 1.0
+    if N:
+        out[1] = x
+    for m in range(1, N):
+        out[m + 1] = x * out[m] - m * out[m - 1]
+    return out
+
+
+def hermite_poly(nu: int, x):
+    """Probabilists' Hermite polynomial H_nu (row nu of hermite_table).
+
+    Works on scalars and numpy arrays alike.
+    """
+    h = hermite_table(nu, x)[nu]
     return h if h.ndim else float(h)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 from .galerkin import GalerkinSystem
@@ -57,6 +58,14 @@ class TemporalBasis:
         else:
             out = math.sqrt(2.0 / self.delta) * np.cos(np.pi * (k - 1) * s / self.delta)
         return out if out.ndim else float(out)
+
+    def modes(self, s) -> np.ndarray:
+        """(n, *shape(s)) values m_1(s) .. m_n(s); row k-1 equals eval(k, s) bit for bit."""
+        s = np.asarray(s, dtype=float)
+        k = np.arange(self.n).reshape(-1, *[1] * s.ndim)
+        out = math.sqrt(2.0 / self.delta) * np.cos(np.pi * k * s / self.delta)
+        out[0] = 1.0 / math.sqrt(self.delta)
+        return out
 
 
 def cosine_basis(delta: float, n: int) -> TemporalBasis:
@@ -106,16 +115,54 @@ def rk4(rhs, y0, h: float, steps: int):
     return y
 
 
-def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S0, substeps):
+def _lowering(indices, r: int):
+    """Fixed pattern of the lowering operator C(s) of _integrate_stacked.
+
+    C(s) is a CSR matrix of shape (|J|, r n_src) holding coeff * m_k(s)
+    at row dst, column (l-1) n_src + src for each coupling of
+    coupling_groups; n_src = 1 + the largest source, so the top layer,
+    which is never a source, is left out.  Returns (C, coeff, mode) with
+    coeff and the 0-based mode k-1 aligned with C.data, or None when
+    nothing couples (N = 0).
+    """
     groups = coupling_groups(indices)
+    if not groups:
+        return None
+    sizes = [len(co) for co, _, _ in groups.values()]
+    mode, chan = (np.repeat(v, sizes) for v in zip(*groups))
+    co, dst, src = (np.concatenate(parts) for parts in zip(*groups.values()))
+    n_src = int(src.max()) + 1
+    col = (chan - 1) * n_src + src
+    order = np.lexsort((col, dst))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(indices)))])
+    C = sparse.csr_array((co[order], col[order], indptr), shape=(len(indices), r * n_src))
+    return C, co[order], mode[order] - 1
+
+
+def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S0, substeps):
+    """RK4 over the stacked flows S (|J|, K, cols).
+
+    Each right-hand side is the sparse lowering C(s) of _lowering, with
+    only C.data refreshed from the mode values at s, applied to B_l S
+    over the source indices (one batched product for all channels), plus
+    A S.  Both dense products write into buffers kept across calls:
+    fresh (|J|, K, cols) temporaries page-fault anew on every call.
+    """
     A, B = system.A, system.B
+    lowering = _lowering(indices, system.r)
+    if lowering is None:
+        return rk4(lambda s, S: np.matmul(A, S), S0, tbasis.delta / substeps, substeps)
+    C, coeff, mode = lowering
+    n_src = C.shape[1] // system.r
+    AS = np.empty(S0.shape)
+    BS = np.empty((system.r, n_src) + S0.shape[1:])
 
     def rhs(s, S):
-        out = np.matmul(A, S)
-        for (k, l), (co, dst, src) in groups.items():
-            mk = tbasis.eval(k, s)
-            out[dst] += (co * mk)[:, None, None] * np.matmul(B[l - 1], S[src])
-        return out
+        C.data = coeff * tbasis.modes(s)[mode]
+        np.matmul(B[:, None], S[None, :n_src], out=BS)
+        out = C @ BS.reshape(C.shape[1], -1)
+        out += np.matmul(A, S, out=AS).reshape(out.shape)
+        return out.reshape(S.shape)
 
     return rk4(rhs, S0, tbasis.delta / substeps, substeps)
 
@@ -127,6 +174,11 @@ def solve_phi(system: GalerkinSystem, tbasis: TemporalBasis, alpha: MultiIndex, 
         substeps = default_substeps(tbasis.n)
     if alpha.order > tbasis.n:
         raise ValueError(f"alpha uses mode {alpha.order} beyond the basis ({tbasis.n})")
+    if alpha.r != system.r:
+        raise ValueError(f"alpha has r={alpha.r} channels but the system has r={system.r}")
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.shape != (system.K,):
+        raise ValueError(f"zeta of shape {zeta.shape} does not match the system's K={system.K}")
     # Closed under lowering, and the canonical order starts with the empty index.
     indices = enumerate_truncated(alpha.length, max(alpha.order, 1), alpha.r)
     S0 = np.zeros((len(indices), system.K, 1))
@@ -356,6 +408,7 @@ def save_table(path, table: PropagatorTable, binary: bool = False) -> None:
         "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
         "basis_d": b.d, **basis_fields(b), "indices": len(table.indices)})
     mats = np.ascontiguousarray(table.matrices, dtype="<f8")
+    block = ("%.17g " * (table.K - 1) + "%.17g\n") * table.K     # one matrix, row by row
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for alpha, mat in zip(table.indices, mats):
@@ -363,8 +416,7 @@ def save_table(path, table: PropagatorTable, binary: bool = False) -> None:
             if binary:
                 fh.write(mat.tobytes(order="C"))
             else:
-                for row in mat:
-                    fh.write((" ".join(f"{v:.17g}" for v in row) + "\n").encode("ascii"))
+                fh.write((block % tuple(mat.ravel().tolist())).encode("ascii"))
 
 
 def _read_line(buf: bytes, cursor: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import SpatialBasis, basis_tables
-from .multiindex import hermite_poly
+from .multiindex import hermite_table
 from .propagator import PropagatorTable, TemporalBasis
 
 
@@ -62,8 +62,7 @@ def _trapezoid_weights(tbasis: TemporalBasis, npts: int) -> np.ndarray:
     Row k-1 applied to the samples gives m_k(delta) Y_end - m_k(0) Y_0
     - sum_j (Y_j + Y_{j+1})/2 * (m_k(s_{j+1}) - m_k(s_j)).  Read-only.
     """
-    s = np.linspace(0.0, tbasis.delta, npts)
-    m = np.array([tbasis.eval(k, s) for k in range(1, tbasis.n + 1)])
+    m = tbasis.modes(np.linspace(0.0, tbasis.delta, npts))
     half = 0.5 * np.diff(m, axis=1)
     w = np.zeros_like(m)
     w[:, :-1] -= half
@@ -110,8 +109,9 @@ def _hermite_table(table: PropagatorTable, xi: np.ndarray) -> np.ndarray:
     if xi.shape[-2] < n or xi.shape[-1] != r:
         raise ValueError(f"xi of shape {xi.shape[-2:]} does not cover the table's ({n}, {r}) slots")
     x = xi[..., :n, :].reshape(*xi.shape[:-2], n * r)      # slot (k-1)*r + l-1
-    return np.concatenate([hermite_poly(c, x) / math.factorial(c) for c in range(table.N + 1)],
-                          axis=-1)
+    fact = np.array([math.factorial(c) for c in range(table.N + 1)], dtype=float)
+    H = hermite_table(table.N, x) / fact.reshape(-1, *[1] * x.ndim)
+    return np.moveaxis(H, 0, -2).reshape(*x.shape[:-1], -1)
 
 
 def _chaos_weights(table: PropagatorTable, H: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from numpy.polynomial import hermite_e
 
 from chaosfilter.multiindex import (MultiIndex, characteristic_set, empty_index,
                                     enumerate_truncated, factorial, from_line, hermite_poly,
-                                    lower, slot_counts, to_line, xi_eval)
+                                    hermite_table, lower, slot_counts, to_line, xi_eval)
+from chaosfilter.runtime import _hermite_table
 
 # The r=2 worked reference index: nonzero entries
 # a_2^1 = 1, a_4^1 = 2, a_5^1 = 3, a_1^2 = 1, a_2^2 = 2, a_6^2 = 1.
@@ -205,3 +207,38 @@ def test_multiindex_validation():
         MultiIndex.from_dict({(1, 2): 1}, r=1)
     with pytest.raises(ValueError):
         MultiIndex((((1, 1), 0),), r=1)
+
+
+def per_degree_hermite(nu, x):
+    # hermite_poly before it read one row of hermite_table: the recurrence
+    # rerun from degree 0 for every degree.
+    x = np.asarray(x, dtype=float)
+    h_prev = np.ones_like(x)
+    if nu == 0:
+        return h_prev
+    h = x.copy()
+    for m in range(1, nu):
+        h, h_prev = x * h - m * h_prev, h
+    return h
+
+
+@pytest.mark.parametrize("shape", [(), (8, 1), (3, 5, 4, 2)])
+def test_hermite_table_equals_per_degree_stack(shape):
+    x = 2.5 * np.random.default_rng(3).normal(size=shape)
+    for N in (0, 1, 2, 6):
+        stack = np.array([per_degree_hermite(c, x) for c in range(N + 1)])
+        assert np.array_equal(hermite_table(N, x), stack)
+        assert all(np.array_equal(hermite_poly(c, x), stack[c]) for c in range(N + 1))
+    assert isinstance(hermite_poly(3, 0.5), float)
+    with pytest.raises(ValueError):
+        hermite_table(-1, x)
+
+
+def test_runtime_hermite_table_layout():
+    # H_c(xi_slot) / c! at position c n r + slot, as the per-degree concatenation laid it out
+    table = SimpleNamespace(n=3, r=2, N=4)
+    xi = np.random.default_rng(5).normal(size=(2, 7, 4, 2))
+    x = xi[..., :3, :].reshape(2, 7, 6)
+    expect = np.concatenate([per_degree_hermite(c, x) / math.factorial(c) for c in range(5)],
+                            axis=-1)
+    assert np.array_equal(_hermite_table(table, xi), expect)

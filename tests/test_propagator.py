@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 from chaosfilter.galerkin import GalerkinSystem
-from chaosfilter.hermite import build_basis, project
-from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated
+from chaosfilter.hermite import basis_fields, build_basis, encode_header, project
+from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
 from chaosfilter.propagator import (ErrorBudget, brownian_second_moment, chaos_error_bound,
                                     closed_form_order1, cosine_basis, coupling_groups,
-                                    filter_error_bound, load_table, parseval_mass,
-                                    precompute_table, save_table, solve_phi)
+                                    default_substeps, filter_error_bound, load_table,
+                                    parseval_mass, precompute_table, rk4, save_table, solve_phi)
 
 from conftest import gaussian_p0
 
@@ -331,3 +332,121 @@ def test_load_table_rejects_truncated_text_matrix(tmp_path, ou_system_k4):
     path = _truncated_table(tmp_path, ou_system_k4, False, cut)
     with pytest.raises(ValueError, match=r"t\.txt: truncated matrix 3 of 3: expected 4 rows, found 2"):
         load_table(path)
+
+
+# The right-hand side that the sparse lowering replaced: one pass per slot
+# group (k, l), each gathering S[src], forming B_l S[src] and scattering
+# coeff * m_k(s) times it into out[dst].  Kept as the oracle for the
+# coefficient flows; the sparse product sums in another order, so the
+# agreement is to rounding, scaled by the table's largest entry.
+
+def per_slot_integrate(system, tbasis, indices, S0, substeps):
+    groups = coupling_groups(indices)
+    A, B = system.A, system.B
+
+    def rhs(s, S):
+        out = np.matmul(A, S)
+        for (k, l), (co, dst, src) in groups.items():
+            out[dst] += (co * tbasis.eval(k, s))[:, None, None] * np.matmul(B[l - 1], S[src])
+        return out
+
+    return rk4(rhs, S0, tbasis.delta / substeps, substeps)
+
+
+def per_slot_table(system, tbasis, N, n):
+    indices = enumerate_truncated(N, n, system.r)
+    S0 = np.zeros((len(indices), system.K, system.K))
+    S0[0] = np.eye(system.K)
+    return per_slot_integrate(system, tbasis, indices, S0, default_substeps(n))
+
+
+def assert_table_matches_per_slot(system, tbasis, N, n):
+    table = precompute_table(system, tbasis, N, n)
+    oracle = per_slot_table(system, tbasis, N, n)
+    assert table.matrices.shape == oracle.shape
+    assert np.max(np.abs(table.matrices - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    return table
+
+
+def test_precompute_matches_per_slot_rhs_ou(ou_system_k8):
+    assert_table_matches_per_slot(ou_system_k8, cosine_basis(0.25, 3), 2, 3)
+
+
+def test_precompute_matches_per_slot_rhs_two_channels():
+    table = assert_table_matches_per_slot(random_stable_system(5, r=2, seed=4),
+                                          cosine_basis(0.3, 3), 3, 3)
+    assert table.r == 2 and len(table.indices) == math.comb(3 * 2 + 3, 3)
+
+
+def test_precompute_matches_per_slot_rhs_no_coupling_at_n0(ou_system_k8):
+    assert_table_matches_per_slot(ou_system_k8, cosine_basis(0.25, 2), 0, 2)
+
+
+def test_precompute_matches_per_slot_rhs_deep_single_mode():
+    assert_table_matches_per_slot(random_stable_system(3, seed=8), cosine_basis(0.5, 1), 12, 1)
+
+
+def test_precompute_matches_per_slot_rhs_without_noise():
+    sys_ = random_stable_system(4, seed=5)
+    nonoise = GalerkinSystem(K=4, r=1, A=sys_.A, B=np.zeros((1, 4, 4)), basis=sys_.basis)
+    table = assert_table_matches_per_slot(nonoise, cosine_basis(0.2, 3), 2, 3)
+    assert np.max(np.abs(table.matrices[1:])) == 0.0
+
+
+def test_solve_phi_agrees_with_table_columns():
+    # solve_phi integrates a smaller index set than the table, so the
+    # lowering pattern is rebuilt for another |J|.
+    sys_ = random_stable_system(5, r=2, seed=6)
+    tb = cosine_basis(0.3, 3)
+    table = precompute_table(sys_, tb, 3, 3)
+    zeta = np.linspace(-1.0, 1.5, 5)
+    scale = np.max(np.abs(table.matrices))
+    for alpha in (MultiIndex.from_dict({(2, 2): 1}, 2), MultiIndex.from_dict({(1, 1): 2}, 2),
+                  MultiIndex.from_dict({(1, 2): 1, (3, 1): 2}, 2)):
+        got = solve_phi(sys_, tb, alpha, zeta, substeps=table.substeps)
+        assert np.max(np.abs(got - table.matrix_for(alpha) @ zeta)) <= 1e-13 * scale
+
+
+def test_temporal_modes_equal_eval():
+    tb = cosine_basis(0.7, 6)
+    s = np.linspace(0.0, 0.7, 13)
+    assert np.array_equal(tb.modes(s), np.array([tb.eval(k, s) for k in range(1, 7)]))
+    assert np.array_equal(tb.modes(0.3), np.array([tb.eval(k, 0.3) for k in range(1, 7)]))
+
+
+def test_solve_phi_rejects_channel_mismatch(ou_system_k4):
+    alpha = MultiIndex.from_dict({(1, 1): 1}, r=2)
+    with pytest.raises(ValueError, match=r"alpha has r=2 channels but the system has r=1"):
+        solve_phi(ou_system_k4, cosine_basis(0.2, 2), alpha, np.ones(4))
+
+
+def test_solve_phi_rejects_zeta_of_wrong_length(ou_system_k4):
+    alpha = MultiIndex.from_dict({(1, 1): 1}, r=1)
+    with pytest.raises(ValueError, match=r"zeta of shape \(3,\) does not match the system's K=4"):
+        solve_phi(ou_system_k4, cosine_basis(0.2, 2), alpha, np.ones(3))
+
+
+def per_value_save_table(path, table):
+    # The text writer before it formatted whole matrices from one template.
+    b = table.basis
+    header = encode_header({
+        "format": "text", "K": table.K, "r": table.r,
+        "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
+        "basis_d": b.d, **basis_fields(b), "indices": len(table.indices)})
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for alpha, mat in zip(table.indices, np.ascontiguousarray(table.matrices, dtype="<f8")):
+            fh.write((to_line(alpha) + "\n").encode("ascii"))
+            for row in mat:
+                fh.write((" ".join(f"{v:.17g}" for v in row) + "\n").encode("ascii"))
+
+
+def test_text_table_bytes_equal_per_value_writer(tmp_path, ou_system_k4):
+    table = precompute_table(ou_system_k4, cosine_basis(0.25, 2), 2, 2)
+    mats = table.matrices.copy()
+    mats[1, 0, :] = [-0.0, 1e-300, 1e300, 5e-324]
+    mats[2, 1, :] = [0.1, -1.0 / 3.0, 2.0 ** 60, -7.0]
+    table = dataclasses.replace(table, matrices=mats)
+    save_table(tmp_path / "new.txt", table)
+    per_value_save_table(tmp_path / "old.txt", table)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
