@@ -213,19 +213,25 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
         ys = ys[:, :, None]
     if ys.shape[2] != system.r:
         raise ValueError(f"paths have {ys.shape[2]} channels, system has {system.r}")
-    dY = np.diff(ys, axis=1)
     p_init = np.asarray(p_init, dtype=float)
     P = np.repeat(p_init[:, None], ys.shape[0], axis=1) if p_init.ndim == 1 else p_init.T.copy()
-    A, B, r, nsteps = system.A, system.B, system.r, dY.shape[1]
+    r, nsteps = system.r, ys.shape[1] - 1
+    AB = np.concatenate([system.A[None], system.B])        # A, B_1 .. B_r
+    # Per step, the factors of A P, B_1 P .. B_r P: delta, then dY_1 .. dY_r.
+    coef = np.empty((nsteps, 1 + r, P.shape[1]))
+    coef[:, 0] = delta
+    np.subtract(ys[:, 1:], ys[:, :-1], out=coef[:, 1:].transpose(2, 0, 1))
+    Z = np.empty((1 + r,) + P.shape)
     out = np.empty((nsteps // report_stride + 1,) + P.shape)
     out[0] = P
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(1, out.shape[0]):
             for j in range((w - 1) * report_stride, w * report_stride):
-                incr = delta * (A @ P)
-                for l in range(r):
-                    incr += (B[l] @ P) * dY[:, j, l]
-                P = P + incr
+                np.matmul(AB, P, out=Z)
+                Z *= coef[j][:, None]
+                for l in range(1, 1 + r):
+                    Z[0] += Z[l]
+                P += Z[0]
             if not np.all(np.isfinite(P)):
                 raise FloatingPointError(
                     f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"

@@ -51,6 +51,16 @@ def decode_header(lines, what: str, d_key: str):
                                 lambdas=lambdas)
 
 
+def first_non_float(tokens):
+    """(position, token) of the first token float() rejects, or None if every one parses."""
+    for j, tok in enumerate(tokens):
+        try:
+            float(tok)
+        except ValueError:
+            return j, tok
+    return None
+
+
 def basis_fields(basis: SpatialBasis) -> dict[str, str]:
     """The basis_gammas and basis_lambdas header fields of a basis."""
     return {"basis_gammas": " ".join(",".join(str(g) for g in tup) for tup in basis.gammas),

@@ -186,7 +186,9 @@ def hermite_table(N: int, x) -> np.ndarray:
     if N:
         out[1] = x
     for m in range(1, N):
-        out[m + 1] = x * out[m] - m * out[m - 1]
+        row = out[m + 1, ...]                   # a view, also for scalar x
+        np.multiply(x, out[m], out=row)
+        row -= m * out[m - 1]
     return out
 
 
@@ -221,11 +223,16 @@ def to_line(alpha: MultiIndex) -> str:
 
 
 def from_line(line: str, r: int) -> MultiIndex:
+    """Inverse of to_line; a ValueError for a line to_line cannot write."""
     line = line.strip()
     if line == "-":
         return empty_index(r)
+    if not line:
+        raise ValueError("blank index line (the empty index is '-')")
     counts = {}
     for tok in line.split():
         k, l, c = (int(p) for p in tok.split(":"))
+        if c < 1 or (k, l) in counts:
+            raise ValueError(f"entry {tok!r}: each slot appears once, with a count >= 1")
         counts[(k, l)] = c
     return MultiIndex.from_dict(counts, r)

@@ -29,7 +29,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from .galerkin import GalerkinSystem
-from .hermite import SpatialBasis, basis_fields, decode_header, encode_header
+from .hermite import SpatialBasis, basis_fields, decode_header, encode_header, first_non_float
 from .multiindex import (MultiIndex, enumerate_truncated, factorial, from_line, lower, slot_counts,
                          to_line)
 
@@ -212,6 +212,24 @@ class PropagatorTable:
     def counts(self) -> np.ndarray:
         """(n_indices, n*r) per-slot counts of the indices (multiindex.slot_counts)."""
         return slot_counts(self.indices, self.n, self.r)
+
+    @cached_property
+    def pick(self) -> np.ndarray:
+        """(R, n_indices) positions c n r + slot of each index's used slots.
+
+        R = max(1, min(N, n r)) is the most slots an index can use.
+        Column a lists the slots with a nonzero count c in ascending slot
+        order and pads with position 0.  In the runtime's H_c / c! table
+        position 0 holds H_0 / 0! = 1, so the product down a column is
+        the index's chaos weight, bit for bit the product over all slots.
+        """
+        counts = self.counts
+        slots = counts.shape[1]
+        a, s = np.nonzero(counts)                      # row-major: slots ascend within an index
+        first = np.searchsorted(a, a)                  # position of each index's first used slot
+        out = np.zeros((max(1, min(self.N, slots)), len(self.indices)), dtype=np.intp)
+        out[np.arange(a.size) - first, a] = counts[a, s] * slots + s
+        return out
 
 
 def precompute_table(system: GalerkinSystem, tbasis: TemporalBasis, N: int, n: int,
@@ -420,33 +438,54 @@ def save_table(path, table: PropagatorTable, binary: bool = False) -> None:
 
 
 def _read_line(buf: bytes, cursor: int):
-    end = buf.index(b"\n", cursor)
-    return buf[cursor:end].decode("ascii"), end + 1
+    """(line, next cursor), or (None, cursor) when no newline is left.
+
+    Bytes that are not ASCII decode to U+FFFD, so that the parse of the
+    line, not the decode, names them.
+    """
+    end = buf.find(b"\n", cursor)
+    if end < 0:
+        return None, cursor
+    return buf[cursor:end].decode("ascii", errors="replace"), end + 1
 
 
 def load_table(path) -> PropagatorTable:
-    """Inverse of save_table; a truncated file raises ValueError naming the block."""
+    """Inverse of save_table.
+
+    A truncated or malformed file raises a ValueError naming the file,
+    the index block and, in text files, the matrix row.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     cursor = 0
     lines = []
-    for _ in range(12):
+    for i in range(12):
         line, cursor = _read_line(buf, cursor)
+        if line is None:
+            raise ValueError(f"{path}: truncated header: expected 12 lines, found {i}")
         lines.append(line)
     header, basis = decode_header(lines, "table", "basis_d")
     binary = header["format"] == "binary"
-    K, r = basis.K, int(header["r"])
+    K, r, N, n = basis.K, int(header["r"]), int(header["N"]), int(header["n"])
     count = int(header["indices"])
     nbytes = K * K * 8
     indices = []
     mats = np.empty((count, K, K))
     for a in range(count):
-        try:
-            line, cursor = _read_line(buf, cursor)
-        except ValueError:
+        line, cursor = _read_line(buf, cursor)
+        if line is None:
             raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
-                             f"index blocks, found {a}") from None
-        indices.append(from_line(line, r))
+                             f"index blocks, found {a}")
+        try:
+            alpha = from_line(line, r)
+        except ValueError as exc:
+            raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
+                             f"triples or '-', found {line!r} ({exc})") from None
+        if alpha.length > N or alpha.order > n:
+            raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
+                             f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
+                             f"expected at most N = {N} and n = {n}")
+        indices.append(alpha)
         if binary:
             if len(buf) - cursor < nbytes:
                 raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
@@ -454,15 +493,22 @@ def load_table(path) -> PropagatorTable:
             mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K, offset=cursor).reshape(K, K)
             cursor += nbytes
         else:
-            try:
-                for i in range(K):
-                    line, cursor = _read_line(buf, cursor)
-                    mats[a, i] = [float(t) for t in line.split()]
-            except ValueError:
-                if buf.find(b"\n", cursor) >= 0:
-                    raise
-                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                 f"{K} rows, found {i}") from None
+            for i in range(K):
+                line, cursor = _read_line(buf, cursor)
+                if line is None:
+                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                     f"{K} rows, found {i}")
+                tokens = line.split()
+                try:
+                    row = [float(t) for t in tokens]
+                except ValueError:
+                    row = None
+                if row is None or len(row) != K:    # numpy would broadcast a 1-value row
+                    bad = first_non_float(tokens)
+                    fault = (f"expected a float as value {bad[0] + 1}, found {bad[1]!r}"
+                             if bad is not None else f"expected {K} values, found {len(tokens)}")
+                    raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: {fault}")
+                mats[a, i] = row
     return PropagatorTable(K=K, r=r, delta=float(header["delta"]), N=int(header["N"]),
                            n=int(header["n"]), substeps=int(header["substeps"]),
                            basis=basis, indices=tuple(indices), matrices=mats)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import SpatialBasis, basis_tables
+from .hermite import SpatialBasis, basis_tables, first_non_float
 from .multiindex import hermite_table
 from .propagator import PropagatorTable, TemporalBasis
 
@@ -100,31 +100,38 @@ def xi_integrals(window: ObservationWindow, tbasis: TemporalBasis) -> np.ndarray
     return weights @ np.ascontiguousarray(window.values, dtype=float)
 
 
+@functools.lru_cache(maxsize=32)
+def _factorials(N: int) -> np.ndarray:
+    """(N + 1,) factorials 0! .. N! as floats.  Read-only."""
+    out = np.array([math.factorial(c) for c in range(N + 1)], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _hermite_table(table: PropagatorTable, xi: np.ndarray) -> np.ndarray:
     """(..., (N+1) n r) values H_c(xi_slot) / c!, c <= N, at c n r + slot.
 
     xi is (..., n', r) with n' >= n; only its first n modes are read.
     """
-    n, r = table.n, table.r
+    n, r, N = table.n, table.r, table.N
     if xi.shape[-2] < n or xi.shape[-1] != r:
         raise ValueError(f"xi of shape {xi.shape[-2:]} does not cover the table's ({n}, {r}) slots")
-    x = xi[..., :n, :].reshape(*xi.shape[:-2], n * r)      # slot (k-1)*r + l-1
-    fact = np.array([math.factorial(c) for c in range(table.N + 1)], dtype=float)
-    H = hermite_table(table.N, x) / fact.reshape(-1, *[1] * x.ndim)
-    return np.moveaxis(H, 0, -2).reshape(*x.shape[:-1], -1)
+    x = xi[..., :n, :].reshape(-1, n * r)      # slot (k-1)*r + l-1
+    H = hermite_table(N, x)
+    H /= _factorials(N)[:, None, None]
+    return H.transpose(1, 0, 2).reshape(*xi.shape[:-2], (N + 1) * n * r)
 
 
 def _chaos_weights(table: PropagatorTable, H: np.ndarray) -> np.ndarray:
     """(..., |J|) chaos weights from a Hermite table of _hermite_table.
 
     The weight of an index is its Wick product divided by alpha!, the
-    product over slots of H_c(xi_slot) / c!, gathered with the table's
-    slot counts and multiplied slot by slot.  C-contiguous, so that each
-    row takes the same BLAS path in a stacked product as on its own.
+    product of H_c(xi_slot) / c! over its used slots: at most N factors,
+    gathered with the table's pick and multiplied in ascending slot
+    order, the padding factors being exactly 1.  C-contiguous, so that
+    each row takes the same BLAS path in a stacked product as on its own.
     """
-    slots = table.counts.shape[1]
-    pick = table.counts.T * slots + np.arange(slots)[:, None]     # (n r, |J|) positions in H
-    return np.ascontiguousarray(np.multiply.reduce(np.take(H, pick, axis=-1), axis=-2))
+    return np.multiply.reduce(H.take(table.pick, axis=-1), axis=-2)
 
 
 def _weighted_sum(table: PropagatorTable, W: np.ndarray) -> np.ndarray:
@@ -144,7 +151,7 @@ def step_matrix(table: PropagatorTable, xi) -> np.ndarray:
     if xi.ndim != 2:
         raise ValueError(f"xi of shape {xi.shape} does not cover the table's "
                          f"({table.n}, {table.r}) slots")
-    return _weighted_sum(table, _chaos_weights(table, _hermite_table(table, xi[None])))[0]
+    return _weighted_sum(table, _chaos_weights(table, _hermite_table(table, xi))[None])[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,7 @@ class FilterState:
     p: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.p)):
+        if not np.isfinite(self.p).all():
             raise ValueError("filter state has non-finite entries")
 
 
@@ -237,22 +244,52 @@ def write_observations(path, delta_obs: float, times, values) -> None:
     write_samples(path, delta_obs, "r", times, values)
 
 
+def _line_number(path, k: int) -> int:
+    """File line number of the k-th (0-based) non-blank line of path."""
+    with open(path) as fh:
+        return [n for n, ln in enumerate(fh, 1) if ln.strip()][k]
+
+
+def _header_value(path, lines, k: int, key: str, cast):
+    """cast of the value on the k-th non-blank line, which must read '<key>=<value>'."""
+    if k >= len(lines):
+        raise ValueError(f"{path}: missing header line '{key}=', found {len(lines)} lines")
+    name, eq, value = lines[k].partition("=")
+    if not eq or name.strip() != key:
+        raise ValueError(f"{path}: line {_line_number(path, k)}: expected '{key}=', "
+                         f"found {lines[k]!r}")
+    try:
+        return cast(value)
+    except ValueError:
+        raise ValueError(f"{path}: line {_line_number(path, k)}: {key} is not "
+                         f"{'an integer' if cast is int else 'a float'}: {value!r}") from None
+
+
 def read_observations(path):
-    """Inverse of write_observations; returns (delta_obs, r, times, values)."""
+    """Inverse of write_observations; returns (delta_obs, r, times, values).
+
+    A malformed file raises a ValueError naming the file and the line.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    delta_obs = float(lines[0].split("=", 1)[1])
-    r = int(lines[1].split("=", 1)[1])
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
+    delta_obs = _header_value(path, lines, 0, "delta_obs", float)
+    r = _header_value(path, lines, 1, "r", int)
+    if r < 1:
+        raise ValueError(f"{path}: line {_line_number(path, 1)}: r must be >= 1, got {r}")
+    try:
+        rows = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
+    except ValueError:
+        k, (_, tok) = next((k, bad) for k, ln in enumerate(lines[2:], 2)
+                           if (bad := first_non_float(ln.split())) is not None)
+        raise ValueError(f"{path}: line {_line_number(path, k)}: expected a float, "
+                         f"found {tok!r}") from None
     if rows:
         try:
             data = np.array(rows).reshape(len(rows), 1 + r)
         except ValueError:
             bad = next(i for i, row in enumerate(rows) if len(row) != 1 + r)
-            with open(path) as fh:
-                lineno = [n for n, ln in enumerate(fh, 1) if ln.strip()][bad + 2]
-            raise ValueError(f"{path}: line {lineno}: expected {1 + r} columns, "
-                             f"found {len(rows[bad])}") from None
+            raise ValueError(f"{path}: line {_line_number(path, bad + 2)}: expected {1 + r} "
+                             f"columns, found {len(rows[bad])}") from None
         times, values = data[:, 0], data[:, 1:1 + r]
     else:
         times, values = np.empty(0), np.empty((0, r))

@@ -188,6 +188,31 @@ def test_ragged_replay_is_validation_failure(tmp_path, capsys):
     assert "obs.txt: line 5: expected 2 columns, found 1" in capsys.readouterr().err
 
 
+def test_malformed_table_row_is_validation_failure(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    lines = table.read_text().splitlines(keepends=True)
+    lines[14] = lines[14].split(" ", 1)[1]          # drop a value of matrix 1, row 2
+    table.write_text("".join(lines))
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert "table.tbl: matrix 1 of 3, row 2: expected 6 values, found 5" in capsys.readouterr().err
+
+
+def test_replay_without_width_line_is_validation_failure(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    obs.write_text("delta_obs=0.00625\n0 0\n0.00625 0\n")
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert "obs.txt: line 2: expected 'r=', found '0 0'" in capsys.readouterr().err
+
+
 def test_missing_file_is_runtime_error(tmp_path):
     cfg_path = write_cfg(tmp_path)
     assert main(["filter", "--config", cfg_path, "--table", str(tmp_path / "nope.tbl"),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from chaosfilter.galerkin import (FilterModel, GalerkinSystem, apply_M, apply_generator,
-                                  assemble, dissipativity_gap, integrate_galerkin_sde,
+from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, apply_M,
+                                  apply_generator, assemble, dissipativity_gap,
+                                  integrate_galerkin_sde,
                                   integrate_galerkin_sde_paths, load_system, save_system,
                                   validate_model)
 from chaosfilter.hermite import basis_tables, build_basis
@@ -230,6 +231,69 @@ def test_integrate_blowup_names_report_steps():
     # 10001^78 overflows, so the report covering steps 76..100 is the first bad one
     with pytest.raises(FloatingPointError, match=r"steps 76\.\.100 of 400"):
         integrate_galerkin_sde(sys_, np.zeros(401), 1.0, np.array([1.0]), report_stride=25)
+
+
+# The batched Euler loop before it became one stacked product per step,
+# kept as the oracle: same products, same sums in the same order, so the
+# reports are equal bit for bit.
+
+def seed_euler_reports(system, y_paths, delta, p_init, report_stride):
+    ys = np.asarray(y_paths, dtype=float)
+    if ys.ndim == 2:
+        ys = ys[:, :, None]
+    dY = np.diff(ys, axis=1)
+    p_init = np.asarray(p_init, dtype=float)
+    P = np.repeat(p_init[:, None], ys.shape[0], axis=1) if p_init.ndim == 1 else p_init.T.copy()
+    A, B, r, nsteps = system.A, system.B, system.r, dY.shape[1]
+    out = np.empty((nsteps // report_stride + 1,) + P.shape)
+    out[0] = P
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(1, out.shape[0]):
+            for j in range((w - 1) * report_stride, w * report_stride):
+                incr = delta * (A @ P)
+                for l in range(r):
+                    incr += (B[l] @ P) * dY[:, j, l]
+                P = P + incr
+            if not np.all(np.isfinite(P)):
+                raise FloatingPointError(
+                    f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
+                    f" of {nsteps}")
+            out[w] = P
+    return out
+
+
+def random_system(K, r, seed):
+    rng = np.random.default_rng(seed)
+    return GalerkinSystem(K=K, r=r, A=rng.normal(size=(K, K)), B=rng.normal(size=(r, K, K)),
+                          basis=build_basis(1, K))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("npaths, stride, shared", [(1, 1, True), (5, 8, True), (7, 4, False)])
+def test_euler_reports_equal_seed_loop(r, npaths, stride, shared):
+    K, nsteps, delta = 6, 64, 1.0 / 64
+    system = random_system(K, r, seed=10 * r + npaths)
+    rng = np.random.default_rng(r + npaths)
+    Y = np.cumsum(rng.normal(scale=math.sqrt(delta), size=(npaths, nsteps + 1, r)), axis=1)
+    y_paths = Y[:, :, 0] if r == 1 else Y
+    p_init = rng.normal(size=K) if shared else rng.normal(size=(npaths, K))
+    got = _euler_reports(system, y_paths, delta, p_init, stride)
+    ref = seed_euler_reports(system, y_paths, delta, p_init, stride)
+    assert got.shape == ref.shape == (nsteps // stride + 1, K, npaths)
+    assert np.array_equal(got, ref)
+
+
+def test_euler_reports_blowup_message_equals_seed_loop():
+    system = random_system(3, 2, seed=4)
+    system = GalerkinSystem(K=3, r=2, A=system.A * 1e3, B=system.B, basis=system.basis)
+    y = np.cumsum(np.random.default_rng(8).normal(size=(4, 201, 2)), axis=1)
+    messages = []
+    for fn in (_euler_reports, seed_euler_reports):
+        with pytest.raises(FloatingPointError) as info:
+            fn(system, y, 0.1, np.ones(3), 10)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("state blew up in steps ")
 
 
 def test_load_system_rejects_missing_rows(tmp_path, ou_system_k4):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,81 @@ def test_load_table_rejects_truncated_text_matrix(tmp_path, ou_system_k4):
 
     path = _truncated_table(tmp_path, ou_system_k4, False, cut)
     with pytest.raises(ValueError, match=r"t\.txt: truncated matrix 3 of 3: expected 4 rows, found 2"):
+        load_table(path)
+
+
+def _edited_text_table(tmp_path, ou_system_k4, edit):
+    # 3 index blocks of a K=4 table; edit(lines) changes the text lines in place
+    path = tmp_path / "t.txt"
+    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64))
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _row(block, i):
+    # line of row i (1-based) of matrix `block` (1-based): 12 header lines, then
+    # one index line and 4 rows per block
+    return 12 + (block - 1) * 5 + i
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda row: row.rsplit(" ", 1)[0], "expected 4 values, found 3"),
+    (lambda row: row + " 0.5", "expected 4 values, found 5"),
+    (lambda row: "", "expected 4 values, found 0"),
+    (lambda row: row.split()[0], "expected 4 values, found 1"),
+    (lambda row: row.replace(" ", " 1.5x ", 1).rsplit(" ", 1)[0],
+     "expected a float as value 2, found '1.5x'"),
+])
+def test_load_table_names_malformed_text_row(tmp_path, ou_system_k4, change, message):
+    def edit(lines):
+        lines[_row(2, 3)] = change(lines[_row(2, 3)])
+
+    path = _edited_text_table(tmp_path, ou_system_k4, edit)
+    with pytest.raises(ValueError, match=re.escape(f"t.txt: matrix 2 of 3, row 3: {message}")):
+        load_table(path)
+
+
+def test_load_table_names_non_ascii_text_row(tmp_path, ou_system_k4):
+    # a byte outside ASCII inside a row is a bad value, not a truncation
+    path = _edited_text_table(tmp_path, ou_system_k4, lambda lines: None)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[_row(1, 2)] = lines[_row(1, 2)].replace(b" ", b" \xc2\xb5", 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError,
+                       match=r"t\.txt: matrix 1 of 3, row 2: expected a float as value 2"):
+        load_table(path)
+
+
+def test_load_table_rejects_truncated_header(tmp_path, ou_system_k4):
+    path = _truncated_table(tmp_path, ou_system_k4, False, lambda buf: buf.index(b"basis_d"))
+    with pytest.raises(ValueError, match=r"t\.txt: truncated header: expected 12 lines, found 8"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("line", ["", "1:1", "1:x:1", "1:1:0", "1:1:1 1:1:2", "1:3:1"])
+def test_load_table_names_bad_index_line(tmp_path, ou_system_k4, line):
+    def edit(lines):
+        lines[_row(3, 0)] = line
+
+    path = _edited_text_table(tmp_path, ou_system_k4, edit)
+    with pytest.raises(ValueError, match=re.escape(f"t.txt: index line 3 of 3: expected "
+                                                   f"'k:l:count' triples or '-', found {line!r}")):
+        load_table(path)
+
+
+@pytest.mark.parametrize("line, length, order", [("1:1:1 2:1:1", 2, 2), ("1:1:2", 2, 1),
+                                                 ("3:1:1", 1, 3)])
+def test_load_table_names_index_outside_truncation(tmp_path, ou_system_k4, line, length, order):
+    # the table has N = 1, n = 2: an index past either bound has no slot in the runtime's pick
+    def edit(lines):
+        lines[_row(3, 0)] = line
+
+    path = _edited_text_table(tmp_path, ou_system_k4, edit)
+    with pytest.raises(ValueError, match=re.escape(
+            f"t.txt: index line 3 of 3: {line!r} has |alpha| = {length} and d(alpha) = {order}, "
+            f"expected at most N = 1 and n = 2")):
         load_table(path)
 
 

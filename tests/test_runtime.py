@@ -8,10 +8,11 @@ from chaosfilter import experiments
 from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import build_basis, project
-from chaosfilter.multiindex import factorial, xi_eval
+from chaosfilter.multiindex import factorial, hermite_table, xi_eval
 from chaosfilter.propagator import cosine_basis, precompute_table
 from chaosfilter.runtime import (DegenerateNormalizationError, FilterState, ObservationWindow,
-                                 advance, cut_windows, density_at, estimate, functional,
+                                 _chaos_weights, _hermite_table, _weighted_sum, advance,
+                                 cut_windows, density_at, estimate, functional,
                                  negative_mass_fraction, read_observations, run_filter,
                                  step_matrix, write_observations, xi_integrals)
 
@@ -369,9 +370,110 @@ def test_array_step_matches_dict_path_table_below_basis(ou_system_k8):
     assert_matches_dict_path(table, tb, brownian_windows(0.25, 4, 1, 5, seed=6))
 
 
+# The full-slot kernel that the per-index pick replaced: every index
+# multiplies one factor per slot, H_0 / 0! = 1 on its unused ones.  Kept as
+# the oracle of the chaos weights and the step matrix, which must equal it
+# bit for bit.
+
+def full_slot_hermite_table(table, xi):
+    n, r = table.n, table.r
+    x = xi[..., :n, :].reshape(*xi.shape[:-2], n * r)
+    fact = np.array([math.factorial(c) for c in range(table.N + 1)], dtype=float)
+    H = hermite_table(table.N, x) / fact.reshape(-1, *[1] * x.ndim)
+    return np.moveaxis(H, 0, -2).reshape(*x.shape[:-1], -1)
+
+
+def full_slot_weights(table, H):
+    slots = table.counts.shape[1]
+    pick = table.counts.T * slots + np.arange(slots)[:, None]     # (n r, |J|) positions in H
+    return np.ascontiguousarray(np.multiply.reduce(np.take(H, pick, axis=-1), axis=-2))
+
+
+def full_slot_step_matrix(table, xi):
+    H = full_slot_hermite_table(table, np.asarray(xi, dtype=float)[None])
+    return _weighted_sum(table, full_slot_weights(table, H))[0]
+
+
+def assert_kernel_equals_full_slot(table, xis):
+    R = max(1, min(table.N, table.n * table.r))
+    assert table.pick.shape == (R, len(table.indices))
+    # the empty index uses no slot: its column is all padding, position 0
+    assert np.array_equal(table.pick[:, 0], np.zeros(R))
+    for xi in xis:
+        assert np.array_equal(step_matrix(table, xi), full_slot_step_matrix(table, xi))
+    # the window loop's layout: a (paths, windows, n', r) stack, read window by window
+    stack = np.asarray(xis, dtype=float).reshape(2, -1, *np.shape(xis[0]))
+    H = _hermite_table(table, stack)
+    assert np.array_equal(H, full_slot_hermite_table(table, stack))
+    W = _chaos_weights(table, H[:, 1])
+    assert W.flags.c_contiguous and np.array_equal(W, full_slot_weights(table, H[:, 1]))
+
+
+def test_kernel_equals_full_slot_correlated_ou():
+    cfg = parse_config("model.name = correlated-ou\ndiscretization.K = 32\n"
+                       "discretization.N = 3\ndiscretization.n = 8\n"
+                       "discretization.delta = 0.01\ndiscretization.T = 0.05\n")
+    pipe = experiments.build_pipeline(cfg)
+    table = experiments.make_table(pipe)
+    xis = [xi_integrals(win, pipe.tbasis) for win in brownian_windows(0.01, 8, 1, 40, seed=7)]
+    assert_kernel_equals_full_slot(table, xis)
+    # each column holds exactly its index's used slots; the busiest index uses N
+    used = (table.counts > 0).sum(axis=1)
+    assert used.max() == table.N == table.pick.shape[0]
+    assert np.all((table.pick != 0).sum(axis=0) == used)
+
+
+def test_kernel_equals_full_slot_two_channels():
+    rng = np.random.default_rng(23)
+    sys_ = GalerkinSystem(K=5, r=2, A=rng.normal(size=(5, 5)), B=rng.normal(size=(2, 5, 5)),
+                          basis=build_basis(1, 5))
+    table = precompute_table(sys_, cosine_basis(0.1, 4), 3, 3)
+    assert_kernel_equals_full_slot(table, list(3.0 * rng.normal(size=(20, 4, 2))))
+
+
+def test_kernel_equals_full_slot_N0(ou_system_k8):
+    table = precompute_table(ou_system_k8, cosine_basis(0.25, 2), 0, 2)
+    assert len(table.indices) == 1 and table.pick.shape == (1, 1)
+    xis = list(np.random.default_rng(2).normal(size=(6, 2, 1)))
+    assert_kernel_equals_full_slot(table, xis)
+    assert np.array_equal(_chaos_weights(table, _hermite_table(table, xis[0])), [1.0])
+
+
+def test_kernel_equals_full_slot_N12_one_slot():
+    table = scalar_table(N=12, n=1)
+    assert table.pick.shape == (1, 13)                 # R = min(N, n r) = 1
+    assert np.array_equal(table.pick[0], np.arange(13))   # count c of the one slot at c n r
+    xis = list(2.0 * np.random.default_rng(3).normal(size=(8, 1, 1)))
+    assert_kernel_equals_full_slot(table, xis)
+
+
 def test_step_matrix_rejects_xi_of_wrong_shape(ou_system_k8):
     table = precompute_table(ou_system_k8, cosine_basis(0.25, 2), 1, 2)
     with pytest.raises(ValueError, match=r"\(1, 1\).*\(2, 1\)"):
         step_matrix(table, np.zeros((1, 1)))
     with pytest.raises(ValueError, match=r"\(2, 2\).*\(2, 1\)"):
         step_matrix(table, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", r"missing header line 'delta_obs=', found 0 lines"),
+    ("delta_obs=0.1\n", r"missing header line 'r=', found 1 lines"),
+    ("delta_obs=0.1\n0 1\n0.1 1\n", r"line 2: expected 'r=', found '0 1'"),
+    ("delta_obs 0.1\nr=1\n0 1\n", r"line 1: expected 'delta_obs=', found 'delta_obs 0.1'"),
+    ("delta_obs=0.1\n\nr\n0 1\n", r"line 3: expected 'r=', found 'r'"),
+    ("delta_obs=0.1\nr=one\n0 1\n", r"line 2: r is not an integer: 'one'"),
+    ("delta_obs=fast\nr=1\n0 1\n", r"line 1: delta_obs is not a float: 'fast'"),
+    ("delta_obs=0.1\nr=0\n0\n", r"line 2: r must be >= 1, got 0"),
+])
+def test_read_observations_names_bad_header(tmp_path, text, message):
+    path = tmp_path / "obs.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"obs\.txt: " + message):
+        read_observations(path)
+
+
+def test_read_observations_names_line_of_non_float_sample(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_text("delta_obs=0.1\nr=2\n0 1 2\n\n0.1 1 2\n0.2 1 nan2\n0.3 1 x\n")
+    with pytest.raises(ValueError, match=r"obs\.txt: line 6: expected a float, found 'nan2'"):
+        read_observations(path)
