@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import (QuadratureGrid, SpatialBasis, basis_fields, basis_tables, decode_header,
-                      encode_header, squeeze_points)
+                      decode_rows, encode_header, row_floats, squeeze_points)
 
 
 @dataclass(frozen=True)
@@ -218,20 +218,22 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
     r, nsteps = system.r, ys.shape[1] - 1
     AB = np.concatenate([system.A[None], system.B])        # A, B_1 .. B_r
     # Per step, the factors of A P, B_1 P .. B_r P: delta, then dY_1 .. dY_r.
-    coef = np.empty((nsteps, 1 + r, P.shape[1]))
+    # Laid out (1 + r, 1, paths) per step to broadcast over the rows of Z.
+    coef = np.empty((nsteps, 1 + r, 1, P.shape[1]))
     coef[:, 0] = delta
-    np.subtract(ys[:, 1:], ys[:, :-1], out=coef[:, 1:].transpose(2, 0, 1))
+    np.subtract(ys[:, 1:], ys[:, :-1], out=coef[:, 1:, 0].transpose(2, 0, 1))
     Z = np.empty((1 + r,) + P.shape)
+    Z0, noise = Z[0], list(Z[1:])
     out = np.empty((nsteps // report_stride + 1,) + P.shape)
     out[0] = P
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(1, out.shape[0]):
-            for j in range((w - 1) * report_stride, w * report_stride):
+            for c in coef[(w - 1) * report_stride:w * report_stride]:
                 np.matmul(AB, P, out=Z)
-                Z *= coef[j][:, None]
-                for l in range(1, 1 + r):
-                    Z[0] += Z[l]
-                P += Z[0]
+                np.multiply(Z, c, out=Z)
+                for Zl in noise:
+                    np.add(Z0, Zl, out=Z0)
+                np.add(P, Z0, out=P)
             if not np.all(np.isfinite(P)):
                 raise FloatingPointError(
                     f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
@@ -271,20 +273,41 @@ def save_system(path, system: GalerkinSystem) -> None:
 
 
 def load_system(path) -> GalerkinSystem:
+    """Inverse of save_system.
+
+    The matrix rows are decoded in bulk; a file that does not decode is
+    read again row by row, which accepts exactly what float() accepts.
+    A missing header key or row, a row with another number of values and
+    a token that is not a float raise a ValueError naming the file and,
+    for rows, the matrix (A or B_l) and the row.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    header, basis = decode_header(lines[:6], "system file", "d")
-    K, r = basis.K, int(header["r"])
-    body = lines[6:]
+    header, basis = decode_header(path, lines[:6], "system file", "d", {"r": int})
+    K, r = basis.K, header["r"]
+    body = lines[6:6 + (1 + r) * K]
     if len(body) < (1 + r) * K:
         block = len(body) // K
-        raise ValueError(f"{path}: truncated matrix {'A' if block == 0 else f'B_{block}'}: "
+        raise ValueError(f"{path}: truncated matrix {_matrix_name(block)}: "
                          f"expected {K} rows, found {len(body) - block * K}")
-    mats = []
-    for block in range(1 + r):
-        rows = body[block * K:(block + 1) * K]
-        mats.append(np.array([[float(t) for t in row.split()] for row in rows]))
-    return GalerkinSystem(K=K, r=r, A=mats[0], B=np.array(mats[1:]), basis=basis)
+    rows = decode_rows("\n".join(body), K)
+    if rows is None or rows.shape[0] != len(body):     # a blank row was skipped
+        rows = np.array([_system_row(path, line, i, K) for i, line in enumerate(body)])
+    mats = rows.reshape(1 + r, K, K)
+    return GalerkinSystem(K=K, r=r, A=mats[0], B=mats[1:], basis=basis)
+
+
+def _matrix_name(block: int) -> str:
+    return "A" if block == 0 else f"B_{block}"
+
+
+def _system_row(path, line: str, i: int, K: int) -> list[float]:
+    """Body row i of a system file; a ValueError names the matrix and its row."""
+    try:
+        return row_floats(line, K)
+    except ValueError as exc:
+        raise ValueError(f"{path}: matrix {_matrix_name(i // K)}, row {i % K + 1}: "
+                         f"{exc}") from None
 
 
 def integrate_galerkin_sde_paths(system, y_paths, delta, p_init):

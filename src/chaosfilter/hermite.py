@@ -11,6 +11,7 @@ e.g. for d=2: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,48 @@ def encode_header(fields: dict) -> str:
     return "".join(f"{key}={val}\n" for key, val in {"version": 1, **fields}.items())
 
 
-def decode_header(lines, what: str, d_key: str):
-    """Inverse of encode_header: (fields, the basis they describe); version 1 only."""
+def _gammas(value):
+    return tuple(tuple(int(p) for p in tok.split(",")) for tok in value.split())
+
+
+def _lambdas(value):
+    return np.array([float(t) for t in value.split()])
+
+
+_EXPECTED = {int: "an integer", float: "a float", _gammas: "comma-separated integer tuples",
+             _lambdas: "floats"}
+
+
+def decode_header(path, lines, what: str, d_key: str, fields: dict):
+    """Inverse of encode_header: ({key: value} for `fields`, the basis they describe).
+
+    `fields` maps each key past the basis to int, float or the tuple of the
+    strings allowed.  Only version 1 is read.  A missing key or a value
+    that does not parse raises a ValueError naming the file and the key.
+    """
     header = dict(line.partition("=")[::2] for line in lines)
     if header.get("version") != "1":
-        raise ValueError(f"unsupported {what} version {header.get('version')!r}")
-    gammas = tuple(tuple(int(p) for p in tok.split(",")) for tok in header["basis_gammas"].split())
-    lambdas = np.array([float(t) for t in header["basis_lambdas"].split()])
-    return header, SpatialBasis(d=int(header[d_key]), K=int(header["K"]), gammas=gammas,
-                                lambdas=lambdas)
+        raise ValueError(f"{path}: unsupported {what} version {header.get('version')!r}")
+
+    def field(key, cast):
+        if key not in header:
+            raise ValueError(f"{path}: {what} header: missing '{key}=' line")
+        value = header[key]
+        if isinstance(cast, tuple):
+            if value in cast:
+                return value
+            expected = " or ".join(repr(c) for c in cast)
+        else:
+            try:
+                return cast(value)
+            except ValueError:
+                expected = _EXPECTED[cast]
+        raise ValueError(f"{path}: {what} header: {key} is not {expected}: {value!r}")
+
+    basis = SpatialBasis(d=field(d_key, int), K=field("K", int),
+                         gammas=field("basis_gammas", _gammas),
+                         lambdas=field("basis_lambdas", _lambdas))
+    return {key: field(key, cast) for key, cast in fields.items()}, basis
 
 
 def first_non_float(tokens):
@@ -59,6 +93,43 @@ def first_non_float(tokens):
         except ValueError:
             return j, tok
     return None
+
+
+def row_floats(line: str, width: int) -> list[float]:
+    """float() of each whitespace-separated token of a matrix row of `width` values.
+
+    A ValueError says what is wrong: the first token that is not a
+    float, or the count of values found.
+    """
+    tokens = line.split()
+    try:
+        row = [float(t) for t in tokens]
+    except ValueError:
+        row = None
+    if row is None or len(row) != width:
+        bad = first_non_float(tokens)
+        raise ValueError(f"expected a float as value {bad[0] + 1}, found {bad[1]!r}"
+                         if bad is not None else f"expected {width} values, found {len(tokens)}")
+    return row
+
+
+def decode_rows(text: str, width: int):
+    """The floats of text, one row per non-blank line, as a (rows, width) array.
+
+    One np.loadtxt pass; None where loadtxt rejects the text, finds no
+    row or finds another width.  What loadtxt accepts, float() accepts
+    and parses to the same bits.  On None the caller's per-row parser
+    takes over: it accepts what only float() accepts (such as '1_0') and
+    names any fault.  loadtxt skips blank lines, so a caller whose format
+    has no blank lines checks the row count.
+    """
+    if not text or text.isspace():      # loadtxt would warn of empty input
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == width else None
 
 
 def basis_fields(basis: SpatialBasis) -> dict[str, str]:

@@ -29,7 +29,8 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from .galerkin import GalerkinSystem
-from .hermite import SpatialBasis, basis_fields, decode_header, encode_header, first_non_float
+from .hermite import (SpatialBasis, basis_fields, decode_header, decode_rows, encode_header,
+                      row_floats)
 from .multiindex import (MultiIndex, enumerate_truncated, factorial, from_line, lower, slot_counts,
                          to_line)
 
@@ -449,11 +450,105 @@ def _read_line(buf: bytes, cursor: int):
     return buf[cursor:end].decode("ascii", errors="replace"), end + 1
 
 
+_GROUP = 16     # text blocks per bulk decode: bounds the joined copy of their rows
+
+
+class _Blocks:
+    """The index blocks of one table file, read from a byte cursor into indices and mats."""
+
+    def __init__(self, path, buf: bytes, header: dict, K: int):
+        self.path, self.buf, self.K = path, buf, K
+        self.r, self.N, self.n = header["r"], header["N"], header["n"]
+        self.count, self.binary = header["indices"], header["format"] == "binary"
+        self.indices = [None] * self.count
+        self.mats = np.empty((self.count, K, K))
+
+    def index(self, a: int, cursor: int):
+        """(index of block a, cursor after its line); a ValueError names a missing or bad line."""
+        path, count = self.path, self.count
+        line, cursor = _read_line(self.buf, cursor)
+        if line is None:
+            raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
+                             f"index blocks, found {a}")
+        try:
+            alpha = from_line(line, self.r)
+        except ValueError as exc:
+            raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
+                             f"triples or '-', found {line!r} ({exc})") from None
+        if alpha.length > self.N or alpha.order > self.n:
+            raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
+                             f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
+                             f"expected at most N = {self.N} and n = {self.n}")
+        return alpha, cursor
+
+    def per_row(self, cursor: int, blocks: range) -> int:
+        """Read `blocks` row by row (binary: matrix by matrix); the cursor after them.
+
+        Raises a ValueError naming the file, the block and, in text, the row
+        of the first fault.
+        """
+        path, buf, K, count = self.path, self.buf, self.K, self.count
+        nbytes = K * K * 8
+        for a in blocks:
+            self.indices[a], cursor = self.index(a, cursor)
+            if self.binary:
+                if len(buf) - cursor < nbytes:
+                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                     f"{nbytes} bytes, found {len(buf) - cursor}")
+                self.mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K,
+                                             offset=cursor).reshape(K, K)
+                cursor += nbytes
+                continue
+            for i in range(K):
+                line, cursor = _read_line(buf, cursor)
+                if line is None:
+                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                     f"{K} rows, found {i}")
+                try:
+                    self.mats[a, i] = row_floats(line, K)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: "
+                                     f"{exc}") from None
+        return cursor
+
+    def bulk(self, cursor: int, blocks: range):
+        """Read text `blocks` with one decode of all their rows; the cursor after them.
+
+        None where per_row must read them instead: a bad or missing line,
+        or rows that decode_rows does not take.
+        """
+        buf, K = self.buf, self.K
+        spans = []
+        for a in blocks:
+            try:
+                self.indices[a], start = self.index(a, cursor)
+            except ValueError:
+                return None
+            cursor = start
+            for _ in range(K):
+                cursor = buf.find(b"\n", cursor) + 1
+                if not cursor:
+                    return None
+            spans.append(buf[start:cursor])
+        try:
+            text = b"".join(spans).decode("ascii")
+        except UnicodeDecodeError:
+            return None
+        rows = decode_rows(text, K)
+        if rows is None or rows.shape[0] != len(blocks) * K:    # a blank row was skipped
+            return None
+        self.mats[blocks.start:blocks.stop] = rows.reshape(-1, K, K)
+        return cursor
+
+
 def load_table(path) -> PropagatorTable:
     """Inverse of save_table.
 
-    A truncated or malformed file raises a ValueError naming the file,
-    the index block and, in text files, the matrix row.
+    Text rows are decoded in bulk, a group of index blocks at a time; a
+    group that does not decode is read again row by row, which accepts
+    exactly what float() accepts.  A truncated or malformed file raises a
+    ValueError naming the file, the header key or the index block and, in
+    text files, the matrix row.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -464,51 +559,14 @@ def load_table(path) -> PropagatorTable:
         if line is None:
             raise ValueError(f"{path}: truncated header: expected 12 lines, found {i}")
         lines.append(line)
-    header, basis = decode_header(lines, "table", "basis_d")
-    binary = header["format"] == "binary"
-    K, r, N, n = basis.K, int(header["r"]), int(header["N"]), int(header["n"])
-    count = int(header["indices"])
-    nbytes = K * K * 8
-    indices = []
-    mats = np.empty((count, K, K))
-    for a in range(count):
-        line, cursor = _read_line(buf, cursor)
-        if line is None:
-            raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
-                             f"index blocks, found {a}")
-        try:
-            alpha = from_line(line, r)
-        except ValueError as exc:
-            raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
-                             f"triples or '-', found {line!r} ({exc})") from None
-        if alpha.length > N or alpha.order > n:
-            raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
-                             f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
-                             f"expected at most N = {N} and n = {n}")
-        indices.append(alpha)
-        if binary:
-            if len(buf) - cursor < nbytes:
-                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                 f"{nbytes} bytes, found {len(buf) - cursor}")
-            mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K, offset=cursor).reshape(K, K)
-            cursor += nbytes
-        else:
-            for i in range(K):
-                line, cursor = _read_line(buf, cursor)
-                if line is None:
-                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                     f"{K} rows, found {i}")
-                tokens = line.split()
-                try:
-                    row = [float(t) for t in tokens]
-                except ValueError:
-                    row = None
-                if row is None or len(row) != K:    # numpy would broadcast a 1-value row
-                    bad = first_non_float(tokens)
-                    fault = (f"expected a float as value {bad[0] + 1}, found {bad[1]!r}"
-                             if bad is not None else f"expected {K} values, found {len(tokens)}")
-                    raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: {fault}")
-                mats[a, i] = row
-    return PropagatorTable(K=K, r=r, delta=float(header["delta"]), N=int(header["N"]),
-                           n=int(header["n"]), substeps=int(header["substeps"]),
-                           basis=basis, indices=tuple(indices), matrices=mats)
+    header, basis = decode_header(path, lines, "table", "basis_d", {
+        "format": ("text", "binary"), "r": int, "delta": float, "N": int, "n": int,
+        "substeps": int, "indices": int})
+    blocks = _Blocks(path, buf, header, basis.K)
+    for a in range(0, blocks.count, _GROUP):
+        group = range(a, min(a + _GROUP, blocks.count))
+        end = None if blocks.binary else blocks.bulk(cursor, group)
+        cursor = blocks.per_row(cursor, group) if end is None else end
+    return PropagatorTable(K=basis.K, r=header["r"], delta=header["delta"], N=header["N"],
+                           n=header["n"], substeps=header["substeps"], basis=basis,
+                           indices=tuple(blocks.indices), matrices=blocks.mats)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import SpatialBasis, basis_tables, first_non_float
+from .hermite import SpatialBasis, basis_tables, decode_rows, first_non_float
 from .multiindex import hermite_table
 from .propagator import PropagatorTable, TemporalBasis
 
@@ -232,11 +232,15 @@ def write_samples(path, delta_obs: float, width_key: str, times, values) -> None
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 1 and np.asarray(times).size != 1:
         values = values.T
+    _write_rows(path, f"delta_obs={delta_obs:.17g}\n{width_key}={values.shape[1]}\n",
+                "%.17g " + " ".join(["%.17g"] * values.shape[1]) + "\n",
+                np.column_stack([np.asarray(times, dtype=float), values]))
+
+
+def _write_rows(path, header: str, row: str, data: np.ndarray) -> None:
+    """header, then one `row % tuple(line)` per line of the 2-d array data."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"delta_obs={delta_obs:.17g}\n")
-        fh.write(f"{width_key}={values.shape[1]}\n")
-        for t, row in zip(np.asarray(times, dtype=float), values):
-            fh.write(f"{t:.17g} " + " ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(header + (row * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
 def write_observations(path, delta_obs: float, times, values) -> None:
@@ -268,14 +272,33 @@ def _header_value(path, lines, k: int, key: str, cast):
 def read_observations(path):
     """Inverse of write_observations; returns (delta_obs, r, times, values).
 
+    The sample rows are decoded in bulk; a file that does not decode is
+    read again line by line, which accepts exactly what float() accepts.
     A malformed file raises a ValueError naming the file and the line.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    delta_obs = _header_value(path, lines, 0, "delta_obs", float)
-    r = _header_value(path, lines, 1, "r", int)
+        text = "".join(fh)      # decoded line by line: a bad byte's position is as before
+    head, cursor = [], 0
+    while len(head) < 2 and cursor < len(text):
+        end = text.find("\n", cursor)
+        if end < 0:
+            end = len(text)
+        if line := text[cursor:end].strip():
+            head.append(line)
+        cursor = end + 1
+    delta_obs = _header_value(path, head, 0, "delta_obs", float)
+    r = _header_value(path, head, 1, "r", int)
     if r < 1:
         raise ValueError(f"{path}: line {_line_number(path, 1)}: r must be >= 1, got {r}")
+    data = decode_rows(text[cursor:], 1 + r)
+    if data is None:
+        data = _sample_rows(path, text, r)
+    return delta_obs, r, data[:, 0], data[:, 1:1 + r]
+
+
+def _sample_rows(path, text: str, r: int) -> np.ndarray:
+    """The (rows, 1 + r) samples after the header, line by line; names the first bad line."""
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     try:
         rows = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
     except ValueError:
@@ -283,17 +306,11 @@ def read_observations(path):
                            if (bad := first_non_float(ln.split())) is not None)
         raise ValueError(f"{path}: line {_line_number(path, k)}: expected a float, "
                          f"found {tok!r}") from None
-    if rows:
-        try:
-            data = np.array(rows).reshape(len(rows), 1 + r)
-        except ValueError:
-            bad = next(i for i, row in enumerate(rows) if len(row) != 1 + r)
-            raise ValueError(f"{path}: line {_line_number(path, bad + 2)}: expected {1 + r} "
-                             f"columns, found {len(rows[bad])}") from None
-        times, values = data[:, 0], data[:, 1:1 + r]
-    else:
-        times, values = np.empty(0), np.empty((0, r))
-    return delta_obs, r, times, values
+    bad = next((i for i, row in enumerate(rows) if len(row) != 1 + r), None)
+    if bad is not None:
+        raise ValueError(f"{path}: line {_line_number(path, bad + 2)}: expected {1 + r} "
+                         f"columns, found {len(rows[bad])}")
+    return np.array(rows).reshape(len(rows), 1 + r)
 
 
 def _samples_per_window(times: np.ndarray, delta: float) -> int:
@@ -398,15 +415,11 @@ def run_filter(table: PropagatorTable, tbasis: TemporalBasis, p_init, windows,
 
 def write_state_csv(path, run: FilterRun) -> None:
     K = run.states.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t," + ",".join(f"p_{j + 1}" for j in range(K)) + "\n")
-        for t, row in zip(run.times, run.states):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_rows(path, "t," + ",".join(f"p_{j + 1}" for j in range(K)) + "\n",
+                ",".join(["%.17g"] * (1 + K)) + "\n", np.column_stack([run.times, run.states]))
 
 
 def write_estimate_csv(path, run: FilterRun) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,estimate,mass\n")
-        est = run.estimates if run.estimates is not None else np.full(run.times.shape, math.nan)
-        for t, e, m in zip(run.times, est, run.masses):
-            fh.write(f"{t:.17g},{e:.17g},{m:.17g}\n")
+    est = run.estimates if run.estimates is not None else np.full(run.times.shape, math.nan)
+    _write_rows(path, "t,estimate,mass\n", "%.17g,%.17g,%.17g\n",
+                np.column_stack([run.times, est, run.masses]))

@@ -1,4 +1,4 @@
-"""Round-trip properties of the table and replay file codecs.
+"""Round-trip properties of the table, replay and system file codecs.
 
 Tables are built directly from random finite matrices (no precompute),
 so the properties exercise the codecs alone: every float, including
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from chaosfilter.galerkin import GalerkinSystem, load_system, save_system
 from chaosfilter.hermite import build_basis
 from chaosfilter.multiindex import enumerate_truncated
 from chaosfilter.propagator import PropagatorTable, load_table, save_table
@@ -59,3 +60,18 @@ def test_observation_codec_round_trip(tmp_path_factory, data, r, rows, delta_obs
     assert delta2 == delta_obs and r2 == r
     assert values2.shape == (rows, r)
     assert times2.tobytes() == times.tobytes() and values2.tobytes() == values.tobytes()
+
+
+@FEW
+@given(data=st.data(), K=st.integers(1, 4), r=st.integers(1, 2))
+def test_system_codec_round_trip(tmp_path_factory, data, K, r):
+    system = GalerkinSystem(K=K, r=r, A=data.draw(hnp.arrays(np.float64, (K, K), elements=finite)),
+                            B=data.draw(hnp.arrays(np.float64, (r, K, K), elements=finite)),
+                            basis=build_basis(1, K))
+    path = tmp_path_factory.mktemp("sys") / "system.txt"
+    save_system(path, system)
+    back = load_system(path)
+    assert (back.K, back.r) == (K, r)
+    assert back.A.tobytes() == system.A.tobytes() and back.B.tobytes() == system.B.tobytes()
+    assert back.basis.gammas == system.basis.gammas
+    assert back.basis.lambdas.tobytes() == system.basis.lambdas.tobytes()

@@ -202,6 +202,23 @@ def test_malformed_table_row_is_validation_failure(tmp_path, capsys):
     assert "table.tbl: matrix 1 of 3, row 2: expected 6 values, found 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("indices=", "indicez=", "table header: missing 'indices=' line"),
+    ("format=text", "format=foo", "table header: format is not 'text' or 'binary': 'foo'"),
+    ("K=6", "K=abc", "table header: K is not an integer: 'abc'"),
+])
+def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    table.write_text(table.read_text().replace(old, new, 1))
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert f"table.tbl: {message}" in capsys.readouterr().err
+
+
 def test_replay_without_width_line_is_validation_failure(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"

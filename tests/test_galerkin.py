@@ -303,3 +303,53 @@ def test_load_system_rejects_missing_rows(tmp_path, ou_system_k4):
     path.write_text("".join(lines[:-2]))
     with pytest.raises(ValueError, match=r"system\.txt: truncated matrix B_1: expected 4 rows, found 2"):
         load_system(path)
+
+
+def _edited_system(tmp_path, system, edit):
+    # edit(lines) changes the text lines of the saved system file in place;
+    # 6 header lines, then K rows of A and K rows per B_l
+    path = tmp_path / "system.txt"
+    save_system(path, system)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def test_load_system_names_rows_all_too_short(tmp_path, ou_system_k4):
+    # every row one value short: the rows agree with each other, not with K
+    def edit(lines):
+        lines[6:] = [row.rsplit(" ", 1)[0] for row in lines[6:]]
+
+    path = _edited_system(tmp_path, ou_system_k4, edit)
+    with pytest.raises(ValueError, match=r"system\.txt: matrix A, row 1: expected 4 values, found 3"):
+        load_system(path)
+
+
+@pytest.mark.parametrize("change, found", [(lambda row: row.rsplit(" ", 1)[0], 3),
+                                           (lambda row: "", 0)])
+def test_load_system_names_short_or_blank_row(tmp_path, ou_system_k4, change, found):
+    def edit(lines):
+        lines[6 + 4 + 1] = change(lines[6 + 4 + 1])      # B_1, row 2
+
+    path = _edited_system(tmp_path, ou_system_k4, edit)
+    with pytest.raises(ValueError, match=rf"system\.txt: matrix B_1, row 2: expected 4 values, "
+                                         rf"found {found}"):
+        load_system(path)
+
+
+def test_load_system_names_non_float_token(tmp_path, ou_system_k4):
+    def edit(lines):
+        lines[6 + 2] = lines[6 + 2].replace(" ", " 1.5x ", 1).rsplit(" ", 1)[0]   # A, row 3
+
+    path = _edited_system(tmp_path, ou_system_k4, edit)
+    with pytest.raises(ValueError, match=r"system\.txt: matrix A, row 3: expected a float as "
+                                         r"value 2, found '1\.5x'"):
+        load_system(path)
+
+
+def test_load_system_names_missing_header_key(tmp_path, ou_system_k4):
+    path = _edited_system(tmp_path, ou_system_k4, lambda lines: lines.__delitem__(slice(4, None)))
+    with pytest.raises(ValueError, match=r"system\.txt: system file header: missing "
+                                         r"'basis_gammas=' line"):
+        load_system(path)

@@ -9,10 +9,11 @@ from scipy.linalg import expm
 from chaosfilter.galerkin import GalerkinSystem
 from chaosfilter.hermite import basis_fields, build_basis, encode_header, project
 from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
-from chaosfilter.propagator import (ErrorBudget, brownian_second_moment, chaos_error_bound,
-                                    closed_form_order1, cosine_basis, coupling_groups,
-                                    default_substeps, filter_error_bound, load_table,
-                                    parseval_mass, precompute_table, rk4, save_table, solve_phi)
+from chaosfilter.propagator import (ErrorBudget, PropagatorTable, brownian_second_moment,
+                                    chaos_error_bound, closed_form_order1, cosine_basis,
+                                    coupling_groups, default_substeps, filter_error_bound,
+                                    load_table, parseval_mass, precompute_table, rk4, save_table,
+                                    solve_phi)
 
 from conftest import gaussian_p0
 
@@ -407,6 +408,59 @@ def test_load_table_names_index_outside_truncation(tmp_path, ou_system_k4, line,
     with pytest.raises(ValueError, match=re.escape(
             f"t.txt: index line 3 of 3: {line!r} has |alpha| = {length} and d(alpha) = {order}, "
             f"expected at most N = 1 and n = 2")):
+        load_table(path)
+
+
+def _long_text_table(tmp_path, edit):
+    # 21 index blocks (N = 2, n = 5, r = 1) of K = 3, two bulk-decode groups;
+    # edit(lines) changes the text lines in place
+    indices = tuple(enumerate_truncated(2, 5, 1))
+    mats = np.random.default_rng(8).normal(size=(len(indices), 3, 3))
+    table = PropagatorTable(K=3, r=1, delta=0.25, N=2, n=5, substeps=8,
+                            basis=build_basis(1, 3), indices=indices, matrices=mats)
+    path = tmp_path / "t.txt"
+    save_table(path, table)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("".join(line + "\n" for line in lines))
+    return path, table
+
+
+def _long_row(block, i):
+    # line of row i (1-based) of matrix `block` (1-based) of _long_text_table
+    return 12 + (block - 1) * 4 + i
+
+
+def test_load_table_reads_float_only_values_in_a_later_group(tmp_path):
+    # '1_0' is a float to float(), not to the bulk decoder: its group is read row by row
+    def edit(lines):
+        lines[_long_row(18, 2)] = "1_0 " + lines[_long_row(18, 2)].split(" ", 1)[1]
+
+    path, table = _long_text_table(tmp_path, edit)
+    back = load_table(path)
+    expected = table.matrices.copy()
+    expected[17, 1, 0] = 10.0
+    assert back.indices == table.indices
+    assert back.matrices.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 16, 17, 21])
+def test_load_table_names_blank_row_in_any_group(tmp_path, block):
+    path, _ = _long_text_table(tmp_path, lambda lines: lines.__setitem__(_long_row(block, 3), ""))
+    with pytest.raises(ValueError, match=re.escape(f"t.txt: matrix {block} of 21, row 3: "
+                                                   f"expected 3 values, found 0")):
+        load_table(path)
+
+
+def test_load_table_names_first_fault_of_a_group_in_file_order(tmp_path):
+    # a bad row of block 18 comes before a bad index line of block 20
+    def edit(lines):
+        lines[_long_row(18, 1)] += " 0.5"
+        lines[_long_row(20, 0)] = "x"
+
+    path, _ = _long_text_table(tmp_path, edit)
+    with pytest.raises(ValueError, match=re.escape("t.txt: matrix 18 of 21, row 1: "
+                                                   "expected 3 values, found 4")):
         load_table(path)
 
 

@@ -10,11 +10,12 @@ from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import build_basis, project
 from chaosfilter.multiindex import factorial, hermite_table, xi_eval
 from chaosfilter.propagator import cosine_basis, precompute_table
-from chaosfilter.runtime import (DegenerateNormalizationError, FilterState, ObservationWindow,
-                                 _chaos_weights, _hermite_table, _weighted_sum, advance,
-                                 cut_windows, density_at, estimate, functional,
-                                 negative_mass_fraction, read_observations, run_filter,
-                                 step_matrix, write_observations, xi_integrals)
+from chaosfilter.runtime import (DegenerateNormalizationError, FilterRun, FilterState,
+                                 ObservationWindow, _chaos_weights, _hermite_table,
+                                 _weighted_sum, advance, cut_windows, density_at, estimate,
+                                 functional, negative_mass_fraction, read_observations,
+                                 run_filter, step_matrix, write_estimate_csv, write_observations,
+                                 write_samples, write_state_csv, xi_integrals)
 
 from conftest import gaussian_p0
 
@@ -477,3 +478,66 @@ def test_read_observations_names_line_of_non_float_sample(tmp_path):
     path.write_text("delta_obs=0.1\nr=2\n0 1 2\n\n0.1 1 2\n0.2 1 nan2\n0.3 1 x\n")
     with pytest.raises(ValueError, match=r"obs\.txt: line 6: expected a float, found 'nan2'"):
         read_observations(path)
+
+
+# The per-value writers that the one-template writers replaced, kept as
+# byte oracles.
+
+def _state_csv_oracle(path, run):
+    K = run.states.shape[1]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t," + ",".join(f"p_{j + 1}" for j in range(K)) + "\n")
+        for t, row in zip(run.times, run.states):
+            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _estimate_csv_oracle(path, run):
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,estimate,mass\n")
+        est = run.estimates if run.estimates is not None else np.full(run.times.shape, math.nan)
+        for t, e, m in zip(run.times, est, run.masses):
+            fh.write(f"{t:.17g},{e:.17g},{m:.17g}\n")
+
+
+def _samples_oracle(path, delta_obs, width_key, times, values):
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if values.shape[0] == 1 and np.asarray(times).size != 1:
+        values = values.T
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"delta_obs={delta_obs:.17g}\n")
+        fh.write(f"{width_key}={values.shape[1]}\n")
+        for t, row in zip(np.asarray(times, dtype=float), values):
+            fh.write(f"{t:.17g} " + " ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+EXTREMES = np.array([-0.0, 0.0, 1e-300, -5e-324, 5e-324, 1e300, -1e300, 0.1, 1 / 3, math.nan,
+                     math.inf, -math.inf])
+
+
+def _same_bytes(tmp_path, write, oracle, *args):
+    write(tmp_path / "new", *args)
+    oracle(tmp_path / "old", *args)
+    return (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+@pytest.mark.parametrize("with_estimates", [True, False])
+def test_filter_csv_writers_match_per_value_oracles(tmp_path, with_estimates):
+    M, K = len(EXTREMES), 3
+    states = np.random.default_rng(4).normal(size=(M, K))
+    states[:, 1] = EXTREMES
+    run = FilterRun(times=np.linspace(0.0, 1.0, M), states=states, masses=EXTREMES[::-1].copy(),
+                    estimates=EXTREMES.copy() if with_estimates else None)
+    assert _same_bytes(tmp_path, write_state_csv, _state_csv_oracle, run)
+    assert _same_bytes(tmp_path, write_estimate_csv, _estimate_csv_oracle, run)
+    empty = FilterRun(times=np.empty(0), states=np.empty((0, K)), masses=np.empty(0),
+                      estimates=None)
+    assert _same_bytes(tmp_path, write_state_csv, _state_csv_oracle, empty)
+    assert _same_bytes(tmp_path, write_estimate_csv, _estimate_csv_oracle, empty)
+
+
+@pytest.mark.parametrize("width_key, shape", [("r", (12,)), ("r", (12, 1)), ("r", (12, 2)),
+                                              ("d", (12, 3)), ("r", (0, 2)), ("r", (1, 1))])
+def test_samples_writer_matches_per_value_oracle(tmp_path, width_key, shape):
+    values = np.resize(EXTREMES, shape)
+    times = EXTREMES[::-1][:shape[0]]
+    assert _same_bytes(tmp_path, write_samples, _samples_oracle, 1e-300, width_key, times, values)
