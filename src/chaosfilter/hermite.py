@@ -57,8 +57,9 @@ def decode_header(path, lines, what: str, d_key: str, fields: dict):
     """Inverse of encode_header: ({key: value} for `fields`, the basis they describe).
 
     `fields` maps each key past the basis to int, float or the tuple of the
-    strings allowed.  Only version 1 is read.  A missing key or a value
-    that does not parse raises a ValueError naming the file and the key.
+    strings allowed; every int is a count, so a negative one is rejected.
+    Only version 1 is read.  A missing key or a value that does not parse
+    raises a ValueError naming the file and the key.
     """
     header = dict(line.partition("=")[::2] for line in lines)
     if header.get("version") != "1":
@@ -74,7 +75,10 @@ def decode_header(path, lines, what: str, d_key: str, fields: dict):
             expected = " or ".join(repr(c) for c in cast)
         else:
             try:
-                return cast(value)
+                out = cast(value)
+                if cast is not int or out >= 0:
+                    return out
+                expected = "a nonnegative integer"
             except ValueError:
                 expected = _EXPECTED[cast]
         raise ValueError(f"{path}: {what} header: {key} is not {expected}: {value!r}")

@@ -276,8 +276,18 @@ def read_observations(path):
     read again line by line, which accepts exactly what float() accepts.
     A malformed file raises a ValueError naming the file and the line.
     """
-    with open(path) as fh:
-        text = "".join(fh)      # decoded line by line: a bad byte's position is as before
+    try:
+        with open(path) as fh:
+            text = "".join(fh)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    raise ValueError(f"{path}: line {number}: byte 0x{line[bad.start]:02x} "
+                                     f"is not {exc.encoding}") from None
+        raise
     head, cursor = [], 0
     while len(head) < 2 and cursor < len(text):
         end = text.find("\n", cursor)

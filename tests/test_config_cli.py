@@ -206,6 +206,7 @@ def test_malformed_table_row_is_validation_failure(tmp_path, capsys):
     ("indices=", "indicez=", "table header: missing 'indices=' line"),
     ("format=text", "format=foo", "table header: format is not 'text' or 'binary': 'foo'"),
     ("K=6", "K=abc", "table header: K is not an integer: 'abc'"),
+    ("indices=3", "indices=-1", "table header: indices is not a nonnegative integer: '-1'"),
 ])
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)
@@ -217,6 +218,17 @@ def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
     assert f"table.tbl: {message}" in capsys.readouterr().err
+
+
+def test_replay_byte_that_is_not_utf8_is_validation_failure(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    obs.write_bytes(b"delta_obs=0.00625\nr=1\n0 0\n\xff0.00625 0\n")
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert "obs.txt: line 4: byte 0xff is not utf-8" in capsys.readouterr().err
 
 
 def test_replay_without_width_line_is_validation_failure(tmp_path, capsys):

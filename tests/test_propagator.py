@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from chaosfilter import experiments, propagator
+from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem
 from chaosfilter.hermite import basis_fields, build_basis, encode_header, project
 from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
@@ -580,3 +583,163 @@ def test_text_table_bytes_equal_per_value_writer(tmp_path, ou_system_k4):
     save_table(tmp_path / "new.txt", table)
     per_value_save_table(tmp_path / "old.txt", table)
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("indices", "-1"), ("K", "-4"), ("r", "-1"), ("N", "-2"),
+                                        ("n", "-2"), ("substeps", "-64")])
+def test_load_table_names_negative_header_count(tmp_path, ou_system_k4, key, value):
+    path = tmp_path / "t.txt"
+    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2))
+    path.write_text(re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", path.read_text(), count=1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"t.txt: table header: {key} is not a nonnegative integer: '{value}'")):
+        load_table(path)
+
+
+# The stacked RK4 pass before it ran in column blocks on threads, with a
+# stepper that formed every stage in fresh arrays.  Kept as the oracle for
+# the blocked pass; on x86-64 OpenBLAS the tables are equal bit for bit,
+# the bound below leaves room for another BLAS.
+
+def serial_rk4(rhs, y0, h, steps):
+    y = y0
+    for step in range(steps):
+        s = step * h
+        k1 = rhs(s, y)
+        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise FloatingPointError(f"flow lost finiteness at substep {step + 1} of {steps}")
+    return y
+
+
+def serial_integrate_stacked(system, tbasis, indices, S0, substeps):
+    A, B = system.A, system.B
+    lowering = propagator._lowering(indices, system.r)
+    if lowering is None:
+        return serial_rk4(lambda s, S: np.matmul(A, S), S0, tbasis.delta / substeps, substeps)
+    C, coeff, mode = lowering
+    n_src = C.shape[1] // system.r
+    AS = np.empty(S0.shape)
+    BS = np.empty((system.r, n_src) + S0.shape[1:])
+
+    def rhs(s, S):
+        C.data = coeff * tbasis.modes(s)[mode]
+        np.matmul(B[:, None], S[None, :n_src], out=BS)
+        out = C @ BS.reshape(C.shape[1], -1)
+        out += np.matmul(A, S, out=AS).reshape(out.shape)
+        return out.reshape(S.shape)
+
+    return serial_rk4(rhs, S0, tbasis.delta / substeps, substeps)
+
+
+def serial_table(system, tbasis, N, n, substeps=None):
+    indices = enumerate_truncated(N, n, system.r)
+    S0 = np.zeros((len(indices), system.K, system.K))
+    S0[0] = np.eye(system.K)
+    return serial_integrate_stacked(system, tbasis, indices, S0, substeps or default_substeps(n))
+
+
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(propagator.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+def force_blocks(monkeypatch, cores):
+    """Run precompute on `cores` column blocks whatever the machine and the size."""
+    set_cores(monkeypatch, cores)
+    monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 1)
+
+
+def assert_close_to(table, oracle):
+    assert table.matrices.shape == oracle.shape
+    assert np.max(np.abs(table.matrices - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@pytest.fixture(scope="module")
+def correlated_ou_k32():
+    # the live-correlated setting: K=32, N=3, n=8, |J|=165
+    cfg = parse_config("model.name = correlated-ou\ndiscretization.K = 32\n"
+                       "discretization.N = 3\ndiscretization.n = 8\n"
+                       "discretization.delta = 0.01\ndiscretization.T = 1\n")
+    pipe = experiments.build_pipeline(cfg)
+    # 32 substeps in place of 128: the columns' sums are the same at any count
+    return pipe.system, pipe.tbasis, serial_table(pipe.system, pipe.tbasis, 3, 8, substeps=32)
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+def test_blocked_precompute_matches_serial_pass_correlated_ou(monkeypatch, correlated_ou_k32,
+                                                              cores):
+    system, tbasis, oracle = correlated_ou_k32
+    force_blocks(monkeypatch, cores)
+    assert len(propagator._column_blocks(oracle.shape)) == cores
+    assert_close_to(precompute_table(system, tbasis, 3, 8, substeps=32), oracle)
+
+
+def test_blocked_precompute_matches_serial_pass_two_channels(monkeypatch):
+    system, tbasis = random_stable_system(16, r=2, seed=9), cosine_basis(0.3, 3)
+    force_blocks(monkeypatch, 2)
+    first = precompute_table(system, tbasis, 2, 3)
+    assert_close_to(first, serial_table(system, tbasis, 2, 3))
+    # mc-cubic rebuilds its table every round and compares each with the first
+    assert np.array_equal(precompute_table(system, tbasis, 2, 3).matrices, first.matrices)
+
+
+def test_blocked_precompute_matches_serial_pass_at_n0(monkeypatch):
+    system, tbasis = random_stable_system(16, seed=3), cosine_basis(0.25, 2)
+    force_blocks(monkeypatch, 2)
+    assert_close_to(precompute_table(system, tbasis, 0, 2), serial_table(system, tbasis, 0, 2))
+
+
+def test_column_blocks_are_aligned_and_never_more_than_cols(monkeypatch):
+    force_blocks(monkeypatch, 64)
+    for cols in range(1, 41):
+        blocks = propagator._column_blocks((3, 5, cols))
+        assert 1 <= len(blocks) <= cols
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == cols
+        assert all(b.start % 8 == 0 and b.stop > b.start for b in blocks)
+
+
+def test_column_blocks_by_size(monkeypatch):
+    set_cores(monkeypatch, 2)
+    assert len(propagator._column_blocks((15, 16, 16))) == 1       # mc-cubic: serial
+    assert len(propagator._column_blocks((165, 32, 32))) == 2      # live-correlated
+    assert len(propagator._column_blocks((165, 32, 1))) == 1       # solve_phi: one column
+
+
+def test_one_core_runs_serial_on_the_calling_thread(monkeypatch, ou_system_k8):
+    class NoPool:
+        def __init__(self, *args):
+            raise AssertionError("a thread pool was started on one core")
+
+    force_blocks(monkeypatch, 1)
+    monkeypatch.setattr(propagator, "ThreadPoolExecutor", NoPool)
+    table = precompute_table(ou_system_k8, cosine_basis(0.25, 3), 2, 3)
+    assert_close_to(table, serial_table(ou_system_k8, cosine_basis(0.25, 3), 2, 3))
+
+
+def blowing_system(fast_cols):
+    # dS/ds = A S from S(0) = I: column j grows like exp(a_j s).  Over 4
+    # substeps of 0.25, a = 1.6e31 overflows at substep 3, a = 1e200 at 1.
+    a = np.full(16, 1.6e31)
+    a[fast_cols] = 1e200
+    return GalerkinSystem(K=16, r=1, A=np.diag(a), B=np.zeros((1, 16, 16)),
+                          basis=build_basis(1, 16))
+
+
+@pytest.mark.parametrize("fast_cols, substep", [(slice(8, 16), 1), (slice(0, 8), 1),
+                                                (slice(0, 0), 3)])
+def test_blocked_blowup_reports_earliest_substep(monkeypatch, fast_cols, substep):
+    system, tbasis = blowing_system(fast_cols), cosine_basis(1.0, 1)
+    message = f"flow lost finiteness at substep {substep} of 4"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=message):
+            serial_table(system, tbasis, 0, 1, substeps=4)
+        force_blocks(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match=message):
+            precompute_table(system, tbasis, 0, 1, substeps=4)
+    assert threading.active_count() == threads      # no block left running

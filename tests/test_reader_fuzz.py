@@ -13,9 +13,10 @@ then both readers read it:
   KeyError or a bare int(), float() or numpy error from a header or a
   system file), one that does.
 
-Two files the oracles accept are now rejected on purpose, with a named
-ValueError: a table whose `format=` is neither text nor binary, and a
-system file whose rows do not hold K values each.
+Three files the oracles accept are now rejected on purpose, with a named
+ValueError: a table whose `format=` is neither text nor binary, a table
+whose header holds a negative count, and a system file whose rows do not
+hold K values each.
 """
 
 import re
@@ -259,10 +260,19 @@ def _same_table(a, b):
             and a.matrices.tobytes() == b.matrices.tobytes())
 
 
+def _negative(value: bytes) -> bool:
+    try:
+        return int(value) < 0
+    except ValueError:
+        return False
+
+
 def _bad_format(path, table):
-    # the oracle read any format= value but 'binary' as text
+    # the oracle read any format= value but 'binary' as text, and took negative counts
     header = dict(line.partition(b"=")[::2] for line in path.read_bytes().split(b"\n")[:12])
-    return header.get(b"format", b"text") not in (b"text", b"binary")
+    return (header.get(b"format", b"text") not in (b"text", b"binary")
+            or any(_negative(header.get(key, b"0"))
+                   for key in (b"K", b"r", b"N", b"n", b"substeps", b"indices", b"basis_d")))
 
 
 @FUZZ

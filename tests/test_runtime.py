@@ -473,6 +473,13 @@ def test_read_observations_names_bad_header(tmp_path, text, message):
         read_observations(path)
 
 
+def test_read_observations_names_line_of_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "obs.txt"
+    path.write_bytes(b"delta_obs=0.1\nr=1\n0 1\n0.1 \x80\n")
+    with pytest.raises(ValueError, match=r"obs\.txt: line 4: byte 0x80 is not utf-8"):
+        read_observations(path)
+
+
 def test_read_observations_names_line_of_non_float_sample(tmp_path):
     path = tmp_path / "obs.txt"
     path.write_text("delta_obs=0.1\nr=2\n0 1 2\n\n0.1 1 2\n0.2 1 nan2\n0.3 1 x\n")
