@@ -24,12 +24,13 @@ rule, so user coefficients are only ever evaluated, never differentiated.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite import (QuadratureGrid, SpatialBasis, basis_fields, basis_tables, decode_header,
-                      decode_rows, encode_header, row_floats, squeeze_points)
+                      decode_rows, encode_header, read_text, row_floats, squeeze_points)
 
 
 @dataclass(frozen=True)
@@ -279,10 +280,10 @@ def load_system(path) -> GalerkinSystem:
     read again row by row, which accepts exactly what float() accepts.
     A missing header key or row, a row with another number of values and
     a token that is not a float raise a ValueError naming the file and,
-    for rows, the matrix (A or B_l) and the row.
+    for rows, the matrix (A or B_l) and the row; a byte that is not
+    UTF-8, the line and the byte.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in io.StringIO(read_text(path))]
     header, basis = decode_header(path, lines[:6], "system file", "d", {"r": int})
     K, r = basis.K, header["r"]
     body = lines[6:6 + (1 + r) * K]

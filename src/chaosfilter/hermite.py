@@ -89,6 +89,22 @@ def decode_header(path, lines, what: str, d_key: str, fields: dict):
     return {key: field(key, cast) for key, cast in fields.items()}, basis
 
 
+def read_text(path) -> str:
+    """The text of path; a byte that does not decode raises a ValueError naming line and byte."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                try:
+                    line.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    raise ValueError(f"{path}: line {number}: byte 0x{line[bad.start]:02x} "
+                                     f"is not {exc.encoding}") from None
+        raise
+
+
 def first_non_float(tokens):
     """(position, token) of the first token float() rejects, or None if every one parses."""
     for j, tok in enumerate(tokens):

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
 
 from .galerkin import GalerkinSystem
 from .hermite import (SpatialBasis, basis_fields, decode_header, decode_rows, encode_header,
@@ -139,6 +137,7 @@ def _lowering(indices, r: int):
     coeff and the 0-based mode k-1 aligned with C.data, or None when
     nothing couples (N = 0).
     """
+    from scipy import sparse    # imported here for cold start: the online half never loads scipy
     groups = coupling_groups(indices)
     if not groups:
         return None
@@ -327,6 +326,7 @@ def closed_form_order1(system: GalerkinSystem, tbasis: TemporalBasis, alpha: Mul
     evaluated here with a composite Gauss-Legendre rule and the
     scaling-and-squaring matrix exponential.
     """
+    from scipy.linalg import expm    # imported here for cold start: only this oracle needs it
     if alpha.length != 1:
         raise ValueError("closed form is implemented for |alpha| = 1 only")
     (k0, l0), _ = alpha.entries[0]

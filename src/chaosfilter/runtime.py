@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import SpatialBasis, basis_tables, decode_rows, first_non_float
+from .hermite import SpatialBasis, basis_tables, decode_rows, first_non_float, read_text
 from .multiindex import hermite_table
 from .propagator import PropagatorTable, TemporalBasis
 
@@ -154,7 +154,7 @@ def step_matrix(table: PropagatorTable, xi) -> np.ndarray:
     return _weighted_sum(table, _chaos_weights(table, _hermite_table(table, xi))[None])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterState:
     t: float
     p: np.ndarray
@@ -276,18 +276,7 @@ def read_observations(path):
     read again line by line, which accepts exactly what float() accepts.
     A malformed file raises a ValueError naming the file and the line.
     """
-    try:
-        with open(path) as fh:
-            text = "".join(fh)
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            for number, line in enumerate(fh, 1):
-                try:
-                    line.decode(exc.encoding)
-                except UnicodeDecodeError as bad:
-                    raise ValueError(f"{path}: line {number}: byte 0x{line[bad.start]:02x} "
-                                     f"is not {exc.encoding}") from None
-        raise
+    text = read_text(path)
     head, cursor = [], 0
     while len(head) < 2 and cursor < len(text):
         end = text.find("\n", cursor)

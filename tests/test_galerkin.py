@@ -353,3 +353,13 @@ def test_load_system_names_missing_header_key(tmp_path, ou_system_k4):
     with pytest.raises(ValueError, match=r"system\.txt: system file header: missing "
                                          r"'basis_gammas=' line"):
         load_system(path)
+
+
+def test_load_system_names_line_of_byte_that_is_not_utf8(tmp_path, ou_system_k4):
+    path = tmp_path / "system.txt"
+    save_system(path, ou_system_k4)
+    lines = path.read_bytes().split(b"\n")
+    lines[6 + 4 + 1] = lines[6 + 4 + 1][:5] + b"\x80" + lines[6 + 4 + 1][5:]    # B_1, row 2
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=r"system\.txt: line 12: byte 0x80 is not utf-8"):
+        load_system(path)
