@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .galerkin import GalerkinSystem, _euler_reports, assemble
-from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project
+from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project_many
 from .models import ModelBundle, build_model
 from .propagator import (ErrorBudget, PropagatorTable, TemporalBasis, chaos_error_bound,
                          cosine_basis, precompute_table)
@@ -51,11 +51,10 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     grid = gauss_hermite_grid(bundle.filter_model.d, cfg.quad_m)
     system = assemble(bundle.filter_model, basis, grid)
     tbasis = cosine_basis(cfg.delta, cfg.n)
-    p_init = project(bundle.filter_model.p0, basis, grid)
     d = bundle.filter_model.d
     coord = (lambda x: x) if d == 1 else (lambda x: x[:, 0])
-    f_coeffs = project(coord, basis, grid)
-    one_coeffs = project(lambda x: np.ones(np.shape(x)[0] if d > 1 else np.size(x)), basis, grid)
+    one = (lambda x: np.ones(np.size(x))) if d == 1 else (lambda x: np.ones(np.shape(x)[0]))
+    p_init, f_coeffs, one_coeffs = project_many([bundle.filter_model.p0, coord, one], basis, grid)
     return Pipeline(cfg=cfg, bundle=bundle, basis=basis, grid=grid, system=system,
                     tbasis=tbasis, p_init=p_init, f_coeffs=f_coeffs, one_coeffs=one_coeffs)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -298,12 +299,20 @@ class QuadratureGrid:
         return self.nodes.shape[1]
 
 
+@lru_cache(maxsize=None)
+def _hermgauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.polynomial.hermite.hermgauss(m), computed once per m, as read-only arrays."""
+    x, w = np.polynomial.hermite.hermgauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_hermite_grid(d: int, m: int) -> QuadratureGrid:
     if m < 1:
         raise ValueError(f"need m >= 1 nodes per axis, got {m}")
     if m > MAX_NODES_PER_AXIS:
         raise ValueError(f"m={m} would underflow the weight rescale; keep m <= {MAX_NODES_PER_AXIS}")
-    x, w = np.polynomial.hermite.hermgauss(m)
+    x, w = _hermgauss(m)
     # exp(log w + x^2) keeps the tails in range where w * exp(x^2) would not.
     wt = np.exp(np.log(w) + x * x)
     if d == 1:
@@ -330,14 +339,21 @@ def project(f, basis: SpatialBasis, grid: QuadratureGrid) -> np.ndarray:
     rule is the caller's responsibility.  Heavy-tailed or rough f gives
     uncontrolled quadrature error.
     """
-    vals = np.broadcast_to(
-        np.asarray(f(squeeze_points(grid.nodes, basis.d)), dtype=float), (grid.nodes.shape[0],)
-    )
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"f is not finite at quadrature node {bad}")
+    return project_many([f], basis, grid)[0]
+
+
+def project_many(fs, basis: SpatialBasis, grid: QuadratureGrid) -> list[np.ndarray]:
+    """project(f, basis, grid) for each f of fs, from one basis table on the grid."""
+    points, npts = squeeze_points(grid.nodes, basis.d), grid.nodes.shape[0]
     V = basis_tables(basis, grid.nodes)
-    return V @ (grid.weights * vals)
+    out = []
+    for f in fs:
+        vals = np.broadcast_to(np.asarray(f(points), dtype=float), (npts,))
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise ValueError(f"f is not finite at quadrature node {bad}")
+        out.append(V @ (grid.weights * vals))
+    return out
 
 
 def lambda_power_norm(coeffs: np.ndarray, basis: SpatialBasis, nu: float) -> float:

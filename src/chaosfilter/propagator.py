@@ -123,7 +123,9 @@ def rk4(rhs, y0, h: float, steps: int):
         acc += rhs(s + h, z)
         y += np.multiply(acc, h / 6.0, out=acc)
         if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"flow lost finiteness at substep {step + 1} of {steps}")
+            exc = FloatingPointError(f"flow lost finiteness at substep {step + 1} of {steps}")
+            exc.substep = step + 1
+            raise exc
     return y
 
 
@@ -150,6 +152,20 @@ def _lowering(indices, r: int):
     indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(indices)))])
     C = sparse.csr_array((co[order], col[order], indptr), shape=(len(indices), r * n_src))
     return C, co[order], mode[order] - 1
+
+
+def _stage_data(tbasis: TemporalBasis, coeff, mode, h: float, steps: int) -> dict:
+    """{s: coeff * m_mode(s)} for every time s at which rk4 calls rhs; read-only rows.
+
+    The times are formed by rk4's own arithmetic (s, s + 0.5 h, s + h with
+    s = step h), so each key is the float rk4 passes; (2 step + 1) h / 2
+    would differ in the last bit.  Each row equals coeff * tbasis.modes(s)[mode].
+    """
+    s = np.arange(steps) * h
+    times = np.unique(np.concatenate([s, s + 0.5 * h, s + h]))     # s + h is mostly next s
+    rows = coeff * tbasis.modes(times).T[:, mode]
+    rows.flags.writeable = False
+    return dict(zip(times.tolist(), rows))
 
 
 # Fewest entries (|J| K cols) per column block.  Two blocks on threads
@@ -179,32 +195,35 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S
     """RK4 over the stacked flows S (|J|, K, cols), in column blocks on threads.
 
     Each right-hand side is the sparse lowering C(s) of _lowering, with
-    only C.data refreshed from the mode values at s, applied to B_l S
-    over the source indices (one batched product for all channels), plus
-    A S.  Both dense products and the sum write into buffers kept across
-    calls: fresh (|J|, K, cols) temporaries page-fault anew on every call.
+    only C.data set to the row of _stage_data at s, applied to B_l S over
+    the source indices (one batched product for all channels), plus A S.
+    Both dense products and the sum write into buffers kept across calls:
+    fresh (|J|, K, cols) temporaries page-fault anew on every call.
 
     Columns never exchange a number (the flows are linear in their start),
     so each block of _column_blocks is its own pass with its own buffers
-    and C; the calling thread runs the first.  A blow-up reports the
-    earliest failing substep over all blocks, as one pass would.
+    and C, sharing the stage rows; the calling thread runs the first.  A
+    blow-up reports the earliest failing substep over all blocks, as one
+    pass would.
     """
     A, B = system.A, system.B
     lowering = _lowering(indices, system.r)
     h = tbasis.delta / substeps
+    if lowering is not None:
+        C0, coeff, mode = lowering
+        stage = _stage_data(tbasis, coeff, mode, h, substeps)
 
     def flow(cols):
         y0 = S0[:, :, cols]
         out = np.empty(y0.shape)
         if lowering is None:
             return rk4(lambda s, S: np.matmul(A, S, out=out), y0, h, substeps)
-        C, coeff, mode = lowering
-        C = C.copy()
+        C = C0.copy()
         n_src = C.shape[1] // system.r
         BS = np.empty((system.r, n_src) + y0.shape[1:])
 
         def rhs(s, S):
-            C.data = coeff * tbasis.modes(s)[mode]
+            C.data = stage[s]
             np.matmul(B[:, None], S[None, :n_src], out=BS)
             np.matmul(A, S, out=out)
             return np.add(out, (C @ BS.reshape(C.shape[1], -1)).reshape(out.shape), out=out)
@@ -228,7 +247,8 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S
         futures = [pool.submit(contextvars.copy_context().run, into, cols) for cols in rest]
         failed = [exc for exc in [into(first)] + [f.result() for f in futures] if exc]
     if failed:
-        raise min(failed, key=lambda exc: int(str(exc).split()[5]))    # "... substep i of n"
+        # one numpy raises itself (np.errstate(over="raise")) names no substep: it goes first
+        raise min(failed, key=lambda exc: getattr(exc, "substep", 0))
     return S
 
 

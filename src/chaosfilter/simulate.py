@@ -106,16 +106,25 @@ def simulate_paths(config: SimulationConfig, npaths: int, x0=None):
         dW[p] = rng.normal(scale=sq, size=(nobs * per, d1))
         dV[p] = rng.normal(scale=sq, size=(nobs * per, r))
 
+    def per_step(at, field):
+        """at for a callable field; a constant one does not depend on x and is evaluated once."""
+        if callable(field):
+            return at
+        value = at(X)
+        return lambda _: value
+
+    drift, sigma = per_step(model.drift_at, model.b), per_step(model.sigma_at, model.sigma)
+    rho, h = per_step(model.rho_at, model.rho), per_step(model.h_at, model.h)
     Xout = np.empty((npaths, nobs + 1, d))
     Yout = np.empty((npaths, nobs + 1, r))
     Xout[:, 0], Yout[:, 0] = X, Y
     step = 0
     for i in range(nobs):
         for _ in range(per):
-            bX = model.drift_at(X)
-            sX = model.sigma_at(X)
-            rX = model.rho_at(X)
-            hX = model.h_at(X)
+            bX = drift(X)
+            sX = sigma(X)
+            rX = rho(X)
+            hX = h(X)
             Y = Y + hX * dt + dV[:, step]
             X = (X + bX * dt
                  + np.einsum("pij,pj->pi", sX, dW[:, step])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from chaosfilter import experiments, hermite
+from chaosfilter.config import parse_config
 from chaosfilter.hermite import (basis_tables, build_basis, eval_basis, gauss_hermite_grid,
                                  gram_matrix, h1_norm, lambda_power_norm, project)
 
@@ -85,6 +87,17 @@ def test_gauss_hermite_guards():
         gauss_hermite_grid(1, 200)
 
 
+@pytest.mark.parametrize("m", [1, 2, 17, 64, 150])
+def test_cached_hermite_rule_is_read_only_and_equals_fresh_rule(m):
+    x, w = hermite._hermgauss(m)
+    fresh = np.polynomial.hermite.hermgauss(m)
+    assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+    assert not x.flags.writeable and not w.flags.writeable
+    assert hermite._hermgauss(m)[0] is x
+    with pytest.raises(ValueError, match="read-only"):
+        gauss_hermite_grid(1, m).nodes[0, 0] = 1.0
+
+
 def test_project_recovers_basis_function(grid64):
     basis = build_basis(1, 8)
     g16 = gauss_hermite_grid(1, 16)
@@ -112,6 +125,17 @@ def test_project_rejects_nonfinite(grid64):
     basis = build_basis(1, 2)
     with pytest.raises(ValueError):
         project(lambda x: np.where(x > 0, np.inf, 1.0), basis, grid64)
+
+
+@pytest.mark.parametrize("model", ["ou-linear", "correlated-ou", "cubic-sensor"])
+def test_pipeline_projections_equal_separate_project_calls(model):
+    cfg = parse_config(f"model.name = {model}\ndiscretization.K = 12\n"
+                       "discretization.delta = 0.01\ndiscretization.T = 1\n")
+    pipe = experiments.build_pipeline(cfg)
+    basis, grid = pipe.basis, pipe.grid
+    assert np.array_equal(pipe.p_init, project(pipe.bundle.filter_model.p0, basis, grid))
+    assert np.array_equal(pipe.f_coeffs, project(lambda x: x, basis, grid))
+    assert np.array_equal(pipe.one_coeffs, project(np.ones_like, basis, grid))
 
 
 def test_lambda_power_norm():

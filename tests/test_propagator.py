@@ -511,6 +511,53 @@ def test_precompute_matches_per_slot_rhs_two_channels():
     assert table.r == 2 and len(table.indices) == math.comb(3 * 2 + 3, 3)
 
 
+# The right-hand side before the stage rows of _stage_data: C.data formed
+# from tbasis.modes(s) in every call.  Kept as the oracle for the whole
+# table; the products and their order are the same, so the bits are too.
+
+def per_call_table(system, tbasis, N, n):
+    indices = enumerate_truncated(N, n, system.r)
+    S0 = np.zeros((len(indices), system.K, system.K))
+    S0[0] = np.eye(system.K)
+    A, B = system.A, system.B
+    C, coeff, mode = propagator._lowering(indices, system.r)
+    n_src = C.shape[1] // system.r
+    out = np.empty(S0.shape)
+    BS = np.empty((system.r, n_src) + S0.shape[1:])
+
+    def rhs(s, S):
+        C.data = coeff * tbasis.modes(s)[mode]
+        np.matmul(B[:, None], S[None, :n_src], out=BS)
+        np.matmul(A, S, out=out)
+        return np.add(out, (C @ BS.reshape(C.shape[1], -1)).reshape(out.shape), out=out)
+
+    substeps = default_substeps(n)
+    return rk4(rhs, S0, tbasis.delta / substeps, substeps)
+
+
+@pytest.mark.parametrize("system, tbasis, N, n", [
+    (random_stable_system(16, seed=2), cosine_basis(0.01, 4), 2, 4),     # mc-cubic sizes
+    (random_stable_system(5, r=2, seed=4), cosine_basis(0.3, 3), 3, 3)])
+def test_precompute_equals_per_call_rhs_bit_for_bit(system, tbasis, N, n):
+    table = precompute_table(system, tbasis, N, n)
+    assert np.array_equal(table.matrices, per_call_table(system, tbasis, N, n))
+
+
+@pytest.mark.parametrize("N, n", [(3, 8), (2, 4)])      # live-correlated, mc-cubic
+def test_stage_rows_equal_modes_at_every_time_rk4_passes(N, n):
+    tbasis, substeps = cosine_basis(0.01, n), default_substeps(n)
+    h = tbasis.delta / substeps
+    _, coeff, mode = propagator._lowering(enumerate_truncated(N, n, 1), 1)
+    stage = propagator._stage_data(tbasis, coeff, mode, h, substeps)
+    passed = []
+    rk4(lambda s, y: passed.append(s) or np.zeros(1), np.zeros(1), h, substeps)
+    assert set(stage) == set(passed) and len(passed) == 4 * substeps
+    for s in passed:
+        row = stage[s]
+        assert not row.flags.writeable
+        assert np.array_equal(row, coeff * tbasis.modes(s)[mode])
+
+
 def test_precompute_matches_per_slot_rhs_no_coupling_at_n0(ou_system_k8):
     assert_table_matches_per_slot(ou_system_k8, cosine_basis(0.25, 2), 0, 2)
 
@@ -743,3 +790,11 @@ def test_blocked_blowup_reports_earliest_substep(monkeypatch, fast_cols, substep
         with pytest.raises(FloatingPointError, match=message):
             precompute_table(system, tbasis, 0, 1, substeps=4)
     assert threading.active_count() == threads      # no block left running
+
+
+def test_blocked_blowup_under_errstate_raise_passes_numpy_error(monkeypatch):
+    # numpy's own FloatingPointError names no substep; it is raised as it is
+    system, tbasis = blowing_system(slice(8, 16)), cosine_basis(1.0, 1)
+    force_blocks(monkeypatch, 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        precompute_table(system, tbasis, 0, 1, substeps=4)

@@ -55,6 +55,43 @@ def test_brownian_variance():
     assert abs(var - 1.0) <= 3 * se
 
 
+def test_callable_sigma_gives_the_paths_of_the_constant_and_is_evaluated_every_step():
+    calls = []
+
+    def sigma(x):
+        calls.append(x.shape)
+        return np.full(x.shape, 0.7)
+
+    def model(sigma):
+        return FilterModel(d=1, d1=1, r=1, b=lambda x: -0.8 * np.asarray(x, float),
+                           sigma=sigma, rho=0.4, h=lambda x: np.sin(x), p0=gaussian_p0)
+
+    cfg = dict(T=0.5, delta_sim=0.01, seed=11, delta_obs=0.05)
+    constant = simulate_paths(SimulationConfig(model=model(0.7), **cfg), 4)
+    varying = simulate_paths(SimulationConfig(model=model(sigma), **cfg), 4)
+    assert len(calls) == 50 and set(calls) == {(4,)}
+    for a, b in zip(constant, varying):
+        assert np.array_equal(a, b)
+
+
+def test_state_dependent_sigma_follows_inline_euler():
+    def sigma(x):
+        return 0.5 + 0.1 * np.cos(x)
+
+    m = FilterModel(d=1, d1=1, r=1, b=0.3, sigma=sigma, rho=0.2, h=1.0, p0=gaussian_p0)
+    cfg = SimulationConfig(model=m, T=0.2, delta_sim=0.01, seed=5, delta_obs=0.01)
+    _, X, Y = simulate_paths(cfg, 2, x0=np.array([0.0, 1.0]))
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(5).spawn(2)]
+    sq = math.sqrt(0.01)
+    for p, rng in enumerate(rngs):
+        dW, dV = rng.normal(scale=sq, size=(20, 1)), rng.normal(scale=sq, size=(20, 1))
+        x, y = X[p, 0, 0], 0.0
+        for i in range(20):
+            x, y = x + 0.3 * 0.01 + sigma(x) * dW[i, 0] + 0.2 * dV[i, 0], y + 0.01 + dV[i, 0]
+            assert X[p, i + 1, 0] == pytest.approx(x, abs=1e-14)
+            assert Y[p, i + 1, 0] == pytest.approx(y, abs=1e-14)
+
+
 def test_shared_noise_correlates_increments():
     m = FilterModel(d=1, d1=1, r=1, b=0.0, sigma=0.0, rho=1.0, h=0.0, p0=gaussian_p0)
     cfg = SimulationConfig(model=m, T=1.0, delta_sim=0.05, seed=3, delta_obs=0.05)
