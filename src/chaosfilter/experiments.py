@@ -130,7 +130,7 @@ def galerkin_oracle_estimates(system, p_init, f_coeffs, one_coeffs, Y,
                               delta_fine: float, win_stride: int):
     """Estimates from Euler integration of the projected system on fine Y."""
     reports = _euler_reports(system, Y, delta_fine, p_init, win_stride)
-    ests = np.stack([(f_coeffs @ R) / (one_coeffs @ R) for R in reports], axis=1)
+    ests = (np.matmul(f_coeffs, reports) / np.matmul(one_coeffs, reports)).T
     if not np.all(np.isfinite(ests)):
         raise FloatingPointError("fine-grid oracle produced non-finite estimates")
     return ests

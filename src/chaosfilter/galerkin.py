@@ -83,7 +83,9 @@ def _eval_field(field, nodes, d, suffix, name):
     arr = np.asarray(v, dtype=float)
     target = (npts,) + suffix
     if arr.shape != target:
-        if arr.ndim == 0 or arr.shape == suffix:
+        if npts == 1 and arr.shape == suffix:
+            arr = arr.reshape(target)          # cheaper than broadcast_to, same values
+        elif arr.ndim == 0 or arr.shape == suffix:
             arr = np.broadcast_to(arr, target)
         elif arr.shape == (npts,) and int(np.prod(suffix, dtype=int)) == 1:
             arr = arr.reshape(target)
@@ -214,27 +216,37 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
         ys = ys[:, :, None]
     if ys.shape[2] != system.r:
         raise ValueError(f"paths have {ys.shape[2]} channels, system has {system.r}")
+    r, K, npaths, nsteps = system.r, system.K, ys.shape[0], ys.shape[1] - 1
     p_init = np.asarray(p_init, dtype=float)
-    P = np.repeat(p_init[:, None], ys.shape[0], axis=1) if p_init.ndim == 1 else p_init.T.copy()
-    r, nsteps = system.r, ys.shape[1] - 1
-    AB = np.concatenate([system.A[None], system.B])        # A, B_1 .. B_r
-    # Per step, the factors of A P, B_1 P .. B_r P: delta, then dY_1 .. dY_r.
-    # Laid out (1 + r, 1, paths) per step to broadcast over the rows of Z.
-    coef = np.empty((nsteps, 1 + r, 1, P.shape[1]))
-    coef[:, 0] = delta
-    np.subtract(ys[:, 1:], ys[:, :-1], out=coef[:, 1:, 0].transpose(2, 0, 1))
-    Z = np.empty((1 + r,) + P.shape)
-    Z0, noise = Z[0], list(Z[1:])
+    if p_init.shape not in {(K,), (npaths, K)}:
+        raise ValueError(f"p_init has shape {p_init.shape}, expected ({K},) or ({npaths}, {K})")
+    if report_stride < 1:
+        raise ValueError(f"report_stride must be >= 1, got {report_stride}")
+    P = np.repeat(p_init[:, None], npaths, axis=1) if p_init.ndim == 1 else p_init.T.copy()
+    W = np.concatenate([system.A[None], system.B]).reshape((1 + r) * K, K)   # A; B_1 .. B_r
+    dY = np.empty((nsteps, r, npaths))
+    np.subtract(ys[:, 1:], ys[:, :-1], out=dY.transpose(2, 0, 1))
+    # Per step, the factors of the rows of W P: delta on those of A, dY_l of
+    # each path on those of B_l; filled a bounded block of steps at a time.
+    block = min(report_stride, 64)
+    coef = np.empty((block, (1 + r) * K, npaths))
+    per_matrix = coef.reshape(block, 1 + r, K, npaths)
+    per_matrix[:, 0] = delta
+    Z = np.empty(((1 + r) * K, npaths))
+    Z0, *noise = Z.reshape(1 + r, K, npaths)
     out = np.empty((nsteps // report_stride + 1,) + P.shape)
     out[0] = P
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(1, out.shape[0]):
-            for c in coef[(w - 1) * report_stride:w * report_stride]:
-                np.matmul(AB, P, out=Z)
-                np.multiply(Z, c, out=Z)
-                for Zl in noise:
-                    np.add(Z0, Zl, out=Z0)
-                np.add(P, Z0, out=P)
+            for s in range((w - 1) * report_stride, w * report_stride, block):
+                n = min(block, w * report_stride - s)
+                per_matrix[:n, 1:] = dY[s:s + n, :, None]
+                for c in coef[:n]:
+                    np.dot(W, P, out=Z)
+                    np.multiply(Z, c, out=Z)
+                    for Zl in noise:
+                        np.add(Z0, Zl, out=Z0)
+                    np.add(P, Z0, out=P)
             if not np.all(np.isfinite(P)):
                 raise FloatingPointError(
                     f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
@@ -252,6 +264,8 @@ def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
     array of shape (nreports + 1, K).  Raises on the first non-finite
     report, naming the steps it covers.
     """
+    if report_stride < 1:
+        raise ValueError(f"report_stride must be >= 1, got {report_stride}")
     if (len(y_path) - 1) % report_stride:
         raise ValueError("report_stride must divide the number of steps")
     y = np.reshape(y_path, (1, len(y_path), -1))

@@ -9,6 +9,7 @@ from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, a
                                   integrate_galerkin_sde,
                                   integrate_galerkin_sde_paths, load_system, save_system,
                                   validate_model)
+from chaosfilter.experiments import galerkin_oracle_estimates
 from chaosfilter.hermite import basis_tables, build_basis
 from chaosfilter.models import cubic_sensor
 
@@ -294,6 +295,76 @@ def test_euler_reports_blowup_message_equals_seed_loop():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("state blew up in steps ")
+
+
+# (K, r, npaths, nsteps, stride): the mc-cubic oracle block, a trailing partial
+# stride, one report for all steps, and strides over the 64-step coefficient
+# block, so that block boundaries fall inside a report window.
+@pytest.mark.parametrize("K, r, npaths, nsteps, stride", [
+    (16, 1, 10, 3200, 32), (16, 1, 10, 70, 32), (16, 1, 10, 3200, 3200),
+    (6, 2, 3, 200, 100), (6, 3, 1, 130, 130), (5, 1, 4, 129, 65)])
+def test_euler_reports_equal_seed_loop_across_blocks(K, r, npaths, nsteps, stride):
+    delta = 1.0 / nsteps
+    system = random_system(K, r, seed=K + r)
+    system = GalerkinSystem(K=K, r=r, A=0.3 * system.A, B=0.3 * system.B, basis=system.basis)
+    rng = np.random.default_rng(nsteps + stride)
+    Y = np.cumsum(rng.normal(scale=math.sqrt(delta), size=(npaths, nsteps + 1, r)), axis=1)
+    for p_init in (rng.normal(size=K), rng.normal(size=(npaths, K))):
+        got = _euler_reports(system, Y, delta, p_init, stride)
+        ref = seed_euler_reports(system, Y, delta, p_init, stride)
+        assert got.shape == ref.shape == (nsteps // stride + 1, K, npaths)
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(got, ref)
+
+
+def test_oracle_estimates_equal_per_report_reads():
+    K, npaths, nsteps, stride, delta = 16, 10, 320, 32, 1.0 / 320
+    system = random_system(K, 1, seed=2)
+    system = GalerkinSystem(K=K, r=1, A=0.3 * system.A, B=0.3 * system.B, basis=system.basis)
+    rng = np.random.default_rng(5)
+    Y = np.cumsum(rng.normal(scale=math.sqrt(delta), size=(npaths, nsteps + 1)), axis=1)
+    p_init, f, one = rng.normal(size=K), rng.normal(size=K), rng.normal(size=K) + 5.0
+    got = galerkin_oracle_estimates(system, p_init, f, one, Y, delta, stride)
+    reports = seed_euler_reports(system, Y, delta, p_init, stride)
+    ref = np.stack([(f @ R) / (one @ R) for R in reports], axis=1)
+    assert got.shape == ref.shape == (npaths, nsteps // stride + 1)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (3, 4)])
+def test_euler_reports_names_malformed_p_init(shape):
+    system = random_system(4, 1, seed=1)
+    y = np.zeros((5, 9))
+    with pytest.raises(ValueError, match=rf"p_init has shape \({shape[0]},"
+                                         rf".*expected \(4,\) or \(5, 4\)"):
+        _euler_reports(system, y, 0.1, np.ones(shape), 2)
+
+
+def test_report_stride_zero_is_named():
+    system = random_system(4, 1, seed=1)
+    with pytest.raises(ValueError, match="report_stride must be >= 1, got 0"):
+        integrate_galerkin_sde(system, np.zeros(9), 0.1, np.ones(4), report_stride=0)
+    with pytest.raises(ValueError, match="report_stride must be >= 1, got 0"):
+        _euler_reports(system, np.zeros((2, 9)), 0.1, np.ones(4), 0)
+
+
+@pytest.mark.parametrize("npts", [2, 3])
+def test_field_of_wrong_shape_on_many_points_raises(npts):
+    # (npts, 1) has as many entries as the (npts, 1, 1) sigma needs, yet is malformed
+    model = FilterModel(d=1, d1=1, r=1, b=0.0, h=0.0, rho=0.0, p0=gaussian_p0,
+                        sigma=lambda x: np.ones((len(x), 1)))
+    with pytest.raises(ValueError, match=rf"field 'sigma' returned shape \({npts}, 1\)"):
+        model.sigma_at(np.zeros((npts, 1)))
+
+
+def test_one_point_field_of_per_point_shape_is_reshaped():
+    model = FilterModel(d=2, d1=1, r=2, b=lambda x: np.array([1.0, -2.0]), sigma=1.0, rho=0.0,
+                        h=lambda x: np.array([3.0]), p0=gaussian_p0)
+    got = model.drift_at(np.zeros((1, 2)))
+    assert got.shape == (1, 2) and np.array_equal(got, [[1.0, -2.0]])
+    assert np.array_equal(model.sigma_at(np.zeros((1, 2))), np.ones((1, 2, 1)))
+    with pytest.raises(ValueError, match=r"field 'h' returned shape \(1,\), cannot coerce to \(1, 2\)"):
+        model.h_at(np.zeros((1, 2)))
 
 
 def test_load_system_rejects_missing_rows(tmp_path, ou_system_k4):
