@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .config import ConfigError, load_config
 from .experiments import build_pipeline, check_consistency, make_table, run_sweep, simulate_full
+from .hermite import write_rows
 from .propagator import load_table, save_table
 from .reference import compare_on_path, kalman_bucy
 from .runtime import (FilterRun, cut_windows, read_observations, run_filter, write_estimate_csv,
@@ -83,7 +85,13 @@ def _cmd_filter(args) -> int:
 
 
 def _read_estimate_csv(path):
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """(t, estimate) columns of an estimates CSV; a ValueError says what is missing."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if rows.shape[0] < 1 or rows.shape[1] < 2:
+        raise ValueError(f"expected rows of 't,estimate,...' after the header, found "
+                         f"{rows.shape[0]} rows of {rows.shape[1]} columns")
     return rows[:, 0], rows[:, 1]
 
 
@@ -93,7 +101,7 @@ def _cmd_compare(args) -> int:
     if pipe.bundle.linear is None:
         raise ConfigError(f"model.name: no exact oracle for '{cfg.model_name}'")
     delta_obs, _, times, values = _parse(args.obs, read_observations, args.obs)
-    est_t, est = _read_estimate_csv(args.est)
+    est_t, est = _parse(args.est, _read_estimate_csv, args.est)
     means, _ = kalman_bucy(pipe.bundle.linear, values[:, 0], delta_obs)
     stride = int(round(cfg.delta / delta_obs))
     oracle_t, oracle = times[::stride], means[::stride]
@@ -101,15 +109,11 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"estimate rows ({est.size}) do not match windows ({oracle.size})")
     summary = compare_on_path(est, oracle, est_t, oracle_t)
     os.makedirs(args.out, exist_ok=True)
-    per_time = os.path.join(args.out, "compare.csv")
-    with open(per_time, "w", newline="\n") as fh:
-        fh.write("t,estimate,oracle,error\n")
-        for t, e, o in zip(est_t, est, oracle):
-            fh.write(f"{t:.17g},{e:.17g},{o:.17g},{e - o:.17g}\n")
+    write_rows(os.path.join(args.out, "compare.csv"), "t,estimate,oracle,error\n",
+               "%.17g,%.17g,%.17g,%.17g\n", np.column_stack([est_t, est, oracle, est - oracle]))
     summary_path = os.path.join(args.out, "summary.csv")
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write("rmse,max_abs\n")
-        fh.write(f"{summary.rmse:.17g},{summary.max_abs:.17g}\n")
+    write_rows(summary_path, "rmse,max_abs\n", "%.17g,%.17g\n",
+               np.array([[summary.rmse, summary.max_abs]]))
     print(f"rmse={summary.rmse:.6g} max={summary.max_abs:.6g}; wrote {summary_path}")
     return 0
 
@@ -119,7 +123,11 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep.values: no values given")
-    typed = [float(v) if args.axis == "delta" else int(v) for v in values]
+    cast = float if args.axis == "delta" else int
+    try:
+        typed = [cast(v) for v in values]
+    except ValueError as exc:     # the message quotes the token
+        raise ConfigError(f"sweep.values: {exc}") from None
     rows = run_sweep(cfg, args.axis, typed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"sweep_{args.axis}.csv")

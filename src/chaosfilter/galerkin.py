@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import (QuadratureGrid, SpatialBasis, basis_fields, basis_tables, decode_header,
-                      decode_rows, encode_header, read_text, row_floats, squeeze_points)
+                      decode_rows, encode_header, read_text, row_floats, squeeze_points,
+                      write_rows)
 
 
 @dataclass(frozen=True)
@@ -280,11 +281,8 @@ def save_system(path, system: GalerkinSystem) -> None:
     round-trips bit-exactly through load_system.
     """
     b = system.basis
-    with open(path, "w", newline="\n") as fh:
-        fh.write(encode_header({"d": b.d, "K": system.K, "r": system.r, **basis_fields(b)}))
-        for mat in (system.A, *system.B):
-            for row in mat:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    write_rows(path, encode_header({"d": b.d, "K": system.K, "r": system.r, **basis_fields(b)}),
+               " ".join(["%.17g"] * system.K) + "\n", np.concatenate([system.A, *system.B]))
 
 
 def load_system(path) -> GalerkinSystem:
@@ -305,7 +303,7 @@ def load_system(path) -> GalerkinSystem:
         block = len(body) // K
         raise ValueError(f"{path}: truncated matrix {_matrix_name(block)}: "
                          f"expected {K} rows, found {len(body) - block * K}")
-    rows = decode_rows("\n".join(body), K)
+    rows = decode_rows(body, K)
     if rows is None or rows.shape[0] != len(body):     # a blank row was skipped
         rows = np.array([_system_row(path, line, i, K) for i, line in enumerate(body)])
     mats = rows.reshape(1 + r, K, K)

@@ -11,7 +11,7 @@ e.g. for d=2: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), ...
 
 from __future__ import annotations
 
-import io
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +40,12 @@ class SpatialBasis:
 def encode_header(fields: dict) -> str:
     """Table/system file header: 'version=1', then one 'key=value' line per field."""
     return "".join(f"{key}={val}\n" for key, val in {"version": 1, **fields}.items())
+
+
+def write_rows(path, header: str, row: str, data: np.ndarray) -> None:
+    """header, then one `row % tuple(line)` per line of the 2-d array data."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + (row * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
 def _gammas(value):
@@ -134,23 +140,23 @@ def row_floats(line: str, width: int) -> list[float]:
     return row
 
 
-def decode_rows(text: str, width: int):
-    """The floats of text, one row per non-blank line, as a (rows, width) array.
+def decode_rows(lines, width: int):
+    """The floats of `lines`, an iterable of str rows, as a (rows, width) array.
 
-    One np.loadtxt pass; None where loadtxt rejects the text, finds no
+    One np.loadtxt pass; None where loadtxt rejects the lines, finds no
     row or finds another width.  What loadtxt accepts, float() accepts
     and parses to the same bits.  On None the caller's per-row parser
     takes over: it accepts what only float() accepts (such as '1_0') and
     names any fault.  loadtxt skips blank lines, so a caller whose format
     has no blank lines checks the row count.
     """
-    if not text or text.isspace():      # loadtxt would warn of empty input
-        return None
-    try:
-        rows = np.loadtxt(io.StringIO(text), dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if rows.shape[1] == width else None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return rows if rows.shape[0] and rows.shape[1] == width else None
 
 
 def basis_fields(basis: SpatialBasis) -> dict[str, str]:

@@ -21,6 +21,7 @@ coupling_groups.
 from __future__ import annotations
 
 import contextvars
+import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -523,135 +524,107 @@ def save_table(path, table: PropagatorTable, binary: bool = False) -> None:
                 fh.write((block % tuple(mat.ravel().tolist())).encode("ascii"))
 
 
-def _read_line(buf: bytes, cursor: int):
-    """(line, next cursor), or (None, cursor) when no newline is left.
+def _line(fh):
+    """The next line of fh without its newline, or None when no newline is left.
 
     Bytes that are not ASCII decode to U+FFFD, so that the parse of the
     line, not the decode, names them.
     """
-    end = buf.find(b"\n", cursor)
-    if end < 0:
-        return None, cursor
-    return buf[cursor:end].decode("ascii", errors="replace"), end + 1
+    line = fh.readline()
+    return line[:-1].decode("ascii", errors="replace") if line.endswith(b"\n") else None
 
 
-_GROUP = 16     # text blocks per bulk decode: bounds the joined copy of their rows
+def _index(path, header: dict, a: int, line: str | None):
+    """The index on line `line` of block a; a ValueError names a missing or bad line."""
+    count = header["indices"]
+    if line is None:
+        raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
+                         f"index blocks, found {a}")
+    try:
+        alpha = from_line(line, header["r"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
+                         f"triples or '-', found {line!r} ({exc})") from None
+    if alpha.length > header["N"] or alpha.order > header["n"]:
+        raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
+                         f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
+                         f"expected at most N = {header['N']} and n = {header['n']}")
+    return alpha
 
 
-class _Blocks:
-    """The index blocks of one table file, read from a byte cursor into indices and mats."""
+def _text_rows(fh, count: int, K: int, index_lines: list):
+    """The K rows of each of `count` text blocks; each block's index line goes to index_lines.
 
-    def __init__(self, path, buf: bytes, header: dict, K: int):
-        self.path, self.buf, self.K = path, buf, K
-        self.r, self.N, self.n = header["r"], header["N"], header["n"]
-        self.count, self.binary = header["indices"], header["format"] == "binary"
-        self.indices = [None] * self.count
-        self.mats = np.empty((self.count, K, K))
+    Stops at the first line without a newline, so that a cut file decodes short.
+    """
+    for _ in range(count):
+        index_lines.append(_line(fh))
+        for _ in range(K):
+            if (line := _line(fh)) is None:
+                return
+            yield line
 
-    def index(self, a: int, cursor: int):
-        """(index of block a, cursor after its line); a ValueError names a missing or bad line."""
-        path, count = self.path, self.count
-        line, cursor = _read_line(self.buf, cursor)
-        if line is None:
-            raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
-                             f"index blocks, found {a}")
-        try:
-            alpha = from_line(line, self.r)
-        except ValueError as exc:
-            raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
-                             f"triples or '-', found {line!r} ({exc})") from None
-        if alpha.length > self.N or alpha.order > self.n:
-            raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
-                             f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
-                             f"expected at most N = {self.N} and n = {self.n}")
-        return alpha, cursor
 
-    def per_row(self, cursor: int, blocks: range) -> int:
-        """Read `blocks` row by row (binary: matrix by matrix); the cursor after them.
+def _walk(path, fh, header: dict, K: int):
+    """(indices, mats) of every block, read one at a time (text: row by row).
 
-        Raises a ValueError naming the file, the block and, in text, the row
-        of the first fault.
-        """
-        path, buf, K, count = self.path, self.buf, self.K, self.count
-        nbytes = K * K * 8
-        for a in blocks:
-            self.indices[a], cursor = self.index(a, cursor)
-            if self.binary:
-                if len(buf) - cursor < nbytes:
-                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                     f"{nbytes} bytes, found {len(buf) - cursor}")
-                self.mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K,
-                                             offset=cursor).reshape(K, K)
-                cursor += nbytes
-                continue
-            for i in range(K):
-                line, cursor = _read_line(buf, cursor)
-                if line is None:
-                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                     f"{K} rows, found {i}")
-                try:
-                    self.mats[a, i] = row_floats(line, K)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: "
-                                     f"{exc}") from None
-        return cursor
-
-    def bulk(self, cursor: int, blocks: range):
-        """Read text `blocks` with one decode of all their rows; the cursor after them.
-
-        None where per_row must read them instead: a bad or missing line,
-        or rows that decode_rows does not take.
-        """
-        buf, K = self.buf, self.K
-        spans = []
-        for a in blocks:
+    Raises a ValueError naming the file, the block and, in text, the row
+    of the first fault in file order.
+    """
+    count, binary = header["indices"], header["format"] == "binary"
+    nbytes = K * K * 8
+    indices, mats = [], np.empty((count, K, K))
+    for a in range(count):
+        indices.append(_index(path, header, a, _line(fh)))
+        if binary:
+            raw = fh.read(nbytes)
+            if len(raw) < nbytes:
+                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                 f"{nbytes} bytes, found {len(raw)}")
+            mats[a] = np.frombuffer(raw, dtype="<f8").reshape(K, K)
+            continue
+        for i in range(K):
+            line = _line(fh)
+            if line is None:
+                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                                 f"{K} rows, found {i}")
             try:
-                self.indices[a], start = self.index(a, cursor)
-            except ValueError:
-                return None
-            cursor = start
-            for _ in range(K):
-                cursor = buf.find(b"\n", cursor) + 1
-                if not cursor:
-                    return None
-            spans.append(buf[start:cursor])
-        try:
-            text = b"".join(spans).decode("ascii")
-        except UnicodeDecodeError:
-            return None
-        rows = decode_rows(text, K)
-        if rows is None or rows.shape[0] != len(blocks) * K:    # a blank row was skipped
-            return None
-        self.mats[blocks.start:blocks.stop] = rows.reshape(-1, K, K)
-        return cursor
+                mats[a, i] = row_floats(line, K)
+            except ValueError as exc:
+                raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: "
+                                 f"{exc}") from None
+    return indices, mats
 
 
 def load_table(path) -> PropagatorTable:
     """Inverse of save_table.
 
-    Text rows are decoded in bulk, a group of index blocks at a time; a
-    group that does not decode is read again row by row, which accepts
+    Text rows are decoded in one pass over all blocks; a file that does
+    not decode is read again block by block, row by row, which accepts
     exactly what float() accepts.  A truncated or malformed file raises a
     ValueError naming the file, the header key or the index block and, in
     text files, the matrix row.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    cursor = 0
-    lines = []
-    for i in range(12):
-        line, cursor = _read_line(buf, cursor)
-        if line is None:
-            raise ValueError(f"{path}: truncated header: expected 12 lines, found {i}")
-        lines.append(line)
+    with open(path, "rb") as raw:
+        fh = io.BytesIO(raw.read())
+    lines = [_line(fh) for _ in range(12)]      # past a None, every line is None
+    if None in lines:
+        raise ValueError(f"{path}: truncated header: expected 12 lines, "
+                         f"found {lines.index(None)}")
     header, basis = decode_header(path, lines, "table", "basis_d", {
         "format": ("text", "binary"), "r": int, "delta": float, "N": int, "n": int,
         "substeps": int, "indices": int})
-    blocks = _Blocks(path, buf, header, basis.K)
-    for a in range(0, blocks.count, _GROUP):
-        group = range(a, min(a + _GROUP, blocks.count))
-        end = None if blocks.binary else blocks.bulk(cursor, group)
-        cursor = blocks.per_row(cursor, group) if end is None else end
-    return PropagatorTable(K=basis.K, r=header["r"], delta=header["delta"], N=header["N"],
+    K, count, blocks = basis.K, header["indices"], fh.tell()
+    index_lines = []
+    rows = (None if header["format"] == "binary"
+            else decode_rows(_text_rows(fh, count, K, index_lines), K))
+    if rows is not None and rows.shape[0] == count * K:    # no blank row skipped, none cut
+        # every row parsed, so the first fault in file order is the first bad index line
+        indices = [_index(path, header, a, line) for a, line in enumerate(index_lines)]
+        mats = rows.reshape(count, K, K)
+    else:
+        fh.seek(blocks)
+        indices, mats = _walk(path, fh, header, K)
+    return PropagatorTable(K=K, r=header["r"], delta=header["delta"], N=header["N"],
                            n=header["n"], substeps=header["substeps"], basis=basis,
-                           indices=tuple(blocks.indices), matrices=blocks.mats)
+                           indices=tuple(indices), matrices=mats)

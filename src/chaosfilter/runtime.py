@@ -11,12 +11,14 @@ window loop advances a stack of paths together; run_filter feeds it one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import SpatialBasis, basis_tables, decode_rows, first_non_float, read_text
+from .hermite import (SpatialBasis, basis_tables, decode_rows, first_non_float, read_text,
+                      write_rows)
 from .multiindex import hermite_table
 from .propagator import PropagatorTable, TemporalBasis
 
@@ -232,15 +234,9 @@ def write_samples(path, delta_obs: float, width_key: str, times, values) -> None
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 1 and np.asarray(times).size != 1:
         values = values.T
-    _write_rows(path, f"delta_obs={delta_obs:.17g}\n{width_key}={values.shape[1]}\n",
-                "%.17g " + " ".join(["%.17g"] * values.shape[1]) + "\n",
-                np.column_stack([np.asarray(times, dtype=float), values]))
-
-
-def _write_rows(path, header: str, row: str, data: np.ndarray) -> None:
-    """header, then one `row % tuple(line)` per line of the 2-d array data."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + (row * data.shape[0]) % tuple(data.ravel().tolist()))
+    write_rows(path, f"delta_obs={delta_obs:.17g}\n{width_key}={values.shape[1]}\n",
+               "%.17g " + " ".join(["%.17g"] * values.shape[1]) + "\n",
+               np.column_stack([np.asarray(times, dtype=float), values]))
 
 
 def write_observations(path, delta_obs: float, times, values) -> None:
@@ -248,24 +244,18 @@ def write_observations(path, delta_obs: float, times, values) -> None:
     write_samples(path, delta_obs, "r", times, values)
 
 
-def _line_number(path, k: int) -> int:
-    """File line number of the k-th (0-based) non-blank line of path."""
-    with open(path) as fh:
-        return [n for n, ln in enumerate(fh, 1) if ln.strip()][k]
-
-
 def _header_value(path, lines, k: int, key: str, cast):
-    """cast of the value on the k-th non-blank line, which must read '<key>=<value>'."""
+    """cast of the value on the k-th (number, line) pair, which must read '<key>=<value>'."""
     if k >= len(lines):
         raise ValueError(f"{path}: missing header line '{key}=', found {len(lines)} lines")
-    name, eq, value = lines[k].partition("=")
+    number, line = lines[k]
+    name, eq, value = line.partition("=")
     if not eq or name.strip() != key:
-        raise ValueError(f"{path}: line {_line_number(path, k)}: expected '{key}=', "
-                         f"found {lines[k]!r}")
+        raise ValueError(f"{path}: line {number}: expected '{key}=', found {line!r}")
     try:
         return cast(value)
     except ValueError:
-        raise ValueError(f"{path}: line {_line_number(path, k)}: {key} is not "
+        raise ValueError(f"{path}: line {number}: {key} is not "
                          f"{'an integer' if cast is int else 'a float'}: {value!r}") from None
 
 
@@ -276,39 +266,31 @@ def read_observations(path):
     read again line by line, which accepts exactly what float() accepts.
     A malformed file raises a ValueError naming the file and the line.
     """
-    text = read_text(path)
-    head, cursor = [], 0
-    while len(head) < 2 and cursor < len(text):
-        end = text.find("\n", cursor)
-        if end < 0:
-            end = len(text)
-        if line := text[cursor:end].strip():
-            head.append(line)
-        cursor = end + 1
+    lines = read_text(path).split("\n")     # read_text translated the newlines, as open() does
+    numbered = ((number, line) for number, raw in enumerate(lines, 1) if (line := raw.strip()))
+    head = list(itertools.islice(numbered, 2))
     delta_obs = _header_value(path, head, 0, "delta_obs", float)
     r = _header_value(path, head, 1, "r", int)
     if r < 1:
-        raise ValueError(f"{path}: line {_line_number(path, 1)}: r must be >= 1, got {r}")
-    data = decode_rows(text[cursor:], 1 + r)
+        raise ValueError(f"{path}: line {head[1][0]}: r must be >= 1, got {r}")
+    data = decode_rows(lines[head[1][0]:], 1 + r)      # the lines after 'r='
     if data is None:
-        data = _sample_rows(path, text, r)
+        data = _sample_rows(path, list(numbered), r)
     return delta_obs, r, data[:, 0], data[:, 1:1 + r]
 
 
-def _sample_rows(path, text: str, r: int) -> np.ndarray:
-    """The (rows, 1 + r) samples after the header, line by line; names the first bad line."""
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+def _sample_rows(path, lines, r: int) -> np.ndarray:
+    """The (rows, 1 + r) samples of (number, line) pairs, line by line; names the first bad line."""
     try:
-        rows = [[float(tok) for tok in ln.split()] for ln in lines[2:]]
+        rows = [[float(tok) for tok in line.split()] for _, line in lines]
     except ValueError:
-        k, (_, tok) = next((k, bad) for k, ln in enumerate(lines[2:], 2)
-                           if (bad := first_non_float(ln.split())) is not None)
-        raise ValueError(f"{path}: line {_line_number(path, k)}: expected a float, "
-                         f"found {tok!r}") from None
+        number, (_, tok) = next((number, bad) for number, line in lines
+                                if (bad := first_non_float(line.split())) is not None)
+        raise ValueError(f"{path}: line {number}: expected a float, found {tok!r}") from None
     bad = next((i for i, row in enumerate(rows) if len(row) != 1 + r), None)
     if bad is not None:
-        raise ValueError(f"{path}: line {_line_number(path, bad + 2)}: expected {1 + r} "
-                         f"columns, found {len(rows[bad])}")
+        raise ValueError(f"{path}: line {lines[bad][0]}: expected {1 + r} columns, "
+                         f"found {len(rows[bad])}")
     return np.array(rows).reshape(len(rows), 1 + r)
 
 
@@ -414,11 +396,11 @@ def run_filter(table: PropagatorTable, tbasis: TemporalBasis, p_init, windows,
 
 def write_state_csv(path, run: FilterRun) -> None:
     K = run.states.shape[1]
-    _write_rows(path, "t," + ",".join(f"p_{j + 1}" for j in range(K)) + "\n",
-                ",".join(["%.17g"] * (1 + K)) + "\n", np.column_stack([run.times, run.states]))
+    write_rows(path, "t," + ",".join(f"p_{j + 1}" for j in range(K)) + "\n",
+               ",".join(["%.17g"] * (1 + K)) + "\n", np.column_stack([run.times, run.states]))
 
 
 def write_estimate_csv(path, run: FilterRun) -> None:
     est = run.estimates if run.estimates is not None else np.full(run.times.shape, math.nan)
-    _write_rows(path, "t,estimate,mass\n", "%.17g,%.17g,%.17g\n",
-                np.column_stack([run.times, est, run.masses]))
+    write_rows(path, "t,estimate,mass\n", "%.17g,%.17g,%.17g\n",
+               np.column_stack([run.times, est, run.masses]))

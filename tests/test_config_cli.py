@@ -1,4 +1,5 @@
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from chaosfilter import experiments
 from chaosfilter.cli import main
 from chaosfilter.config import ConfigError, parse_config
 from chaosfilter.propagator import TemporalBasis, load_table
-from chaosfilter.runtime import write_observations
+from chaosfilter.reference import compare_on_path, kalman_bucy
+from chaosfilter.runtime import read_observations, write_observations
 
 BASE = """
 model.name = ou-linear
@@ -280,3 +282,60 @@ def test_sweep_error_decreases_with_chaos_order(tmp_path):
 def test_pipeline_annotations_resolve():
     hints = typing.get_type_hints(experiments.Pipeline)
     assert hints["tbasis"] is TemporalBasis
+
+
+@pytest.mark.parametrize("axis, values, token", [("K", "4,x", "'x'"),
+                                                 ("delta", "0.1,0.2y", "'0.2y'")])
+def test_malformed_sweep_value_is_validation_failure(tmp_path, capsys, axis, values, token):
+    cfg_path = write_cfg(tmp_path)
+    assert main(["sweep", "--config", cfg_path, "--axis", axis, "--values", values,
+                 "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.values" in err and token in err
+
+
+def _compare_inputs(tmp_path, est_text):
+    # the BASE config's replay (65 samples, 5 windows) and an estimates CSV holding est_text
+    cfg_path = write_cfg(tmp_path)
+    obs = tmp_path / "obs.txt"
+    t = np.linspace(0.0, 0.4, 65)
+    write_observations(obs, 0.00625, t, np.sin(7 * t)[:, None])
+    est = tmp_path / "estimates.csv"
+    est.write_text(est_text)
+    return cfg_path, obs, est
+
+
+@pytest.mark.parametrize("est_text, message", [
+    ("t,estimate,mass\n0,0.5,abc\n", "could not convert string 'abc'"),
+    ("t,estimate,mass\n", "expected rows of 't,estimate,...' after the header"),
+])
+def test_malformed_estimates_csv_is_validation_failure(tmp_path, capsys, est_text, message):
+    cfg_path, obs, est = _compare_inputs(tmp_path, est_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare", "--config", cfg_path, "--obs", str(obs), "--est", str(est),
+                     "--out", str(tmp_path / "cmp")]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert f"{est}: " in err and message in err
+
+
+def test_compare_csvs_match_the_f_string_writer_byte_for_byte(tmp_path):
+    t = np.linspace(0.0, 0.4, 5)
+    est = np.array([1 / 3, -0.0, 1e-300, -2.5e17, np.pi])
+    cfg_path, obs, est_path = _compare_inputs(tmp_path, "t,estimate,mass\n" + "".join(
+        f"{a:.17g},{b:.17g},1\n" for a, b in zip(t, est)))
+    outdir = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_path, "--obs", str(obs), "--est", str(est_path),
+                 "--out", str(outdir)]) == 0
+
+    # the writer compare used before the shared row template
+    delta_obs, _, times, values = read_observations(obs)
+    linear = experiments.build_pipeline(parse_config(BASE)).bundle.linear
+    oracle = kalman_bucy(linear, values[:, 0], delta_obs)[0][::16]
+    summary = compare_on_path(est, oracle, t, times[::16])
+    expected = "t,estimate,oracle,error\n" + "".join(
+        f"{a:.17g},{e:.17g},{o:.17g},{e - o:.17g}\n" for a, e, o in zip(t, est, oracle))
+    assert (outdir / "compare.csv").read_bytes() == expected.encode()
+    assert (outdir / "summary.csv").read_bytes() == (
+        f"rmse,max_abs\n{summary.rmse:.17g},{summary.max_abs:.17g}\n").encode()

@@ -339,6 +339,26 @@ def test_load_table_rejects_truncated_text_matrix(tmp_path, ou_system_k4):
         load_table(path)
 
 
+def test_load_table_rejects_text_table_without_final_newline(tmp_path, ou_system_k4):
+    # the last row is whole but unterminated: a row without a newline is not read
+    path = _truncated_table(tmp_path, ou_system_k4, False, lambda buf: len(buf) - 1)
+    with pytest.raises(ValueError, match=r"t\.txt: truncated matrix 3 of 3: expected 4 rows, found 3"):
+        load_table(path)
+
+
+def test_load_table_streams_text_table_ending_at_its_last_newline(tmp_path, ou_system_k4,
+                                                                  monkeypatch):
+    table = precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64)
+    path = tmp_path / "t.txt"
+    save_table(path, table)
+    assert path.read_bytes().endswith(b"\n") and not path.read_bytes().endswith(b"\n\n")
+    # the one-pass decode reads it: the block-by-block reader is never called
+    monkeypatch.setattr(propagator, "_walk", lambda *args: pytest.fail("read block by block"))
+    back = load_table(path)
+    assert back.indices == table.indices
+    assert back.matrices.tobytes() == table.matrices.tobytes()
+
+
 def _edited_text_table(tmp_path, ou_system_k4, edit):
     # 3 index blocks of a K=4 table; edit(lines) changes the text lines in place
     path = tmp_path / "t.txt"
