@@ -107,6 +107,11 @@ def _cmd_compare(args) -> int:
     oracle_t, oracle = times[::stride], means[::stride]
     if oracle.size != est.size:
         raise ConfigError(f"estimate rows ({est.size}) do not match windows ({oracle.size})")
+    off = np.flatnonzero(~(np.abs(est_t - oracle_t) <= 1e-9))   # NaN is off the grid too
+    if off.size:
+        i = off[0]
+        raise ConfigError(f"{args.est}: row {i + 1}: t = {float(est_t[i])!r} is off the "
+                          f"replay's window grid, expected {float(oracle_t[i])!r}")
     summary = compare_on_path(est, oracle, est_t, oracle_t)
     os.makedirs(args.out, exist_ok=True)
     write_rows(os.path.join(args.out, "compare.csv"), "t,estimate,oracle,error\n",
@@ -132,20 +137,14 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"sweep_{args.axis}.csv")
     keys = list(rows[0].keys())
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(k)) for k in keys) + "\n")
+    # one row template: %.17g for the float columns, %s for axis and integer values
+    template = ",".join("%.17g" if isinstance(rows[0][k], float) else "%s" for k in keys)
+    write_rows(path, ",".join(keys) + "\n", template + "\n",
+               np.array([[row[k] for k in keys] for row in rows], dtype=object))
     for row in rows:
         print(f"{args.axis}={row['value']}: rmse={row['rmse']:.6g}")
     print(f"wrote {path}")
     return 0
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,7 @@ class ExperimentConfig:
     T: float = 1.0
     delta_obs: float | None = None     # default delta / (8 n)
     delta_sim: float | None = None     # default delta_obs / 4
-    substeps: int | None = None        # default max(64, 16 n)
+    substeps: int | None = None        # default max(64, 8 n)
     quad_m: int = 64
     seed: int = 0
     paths: int = 1

@@ -293,12 +293,14 @@ def load_system(path) -> GalerkinSystem:
     A missing header key or row, a row with another number of values and
     a token that is not a float raise a ValueError naming the file and,
     for rows, the matrix (A or B_l) and the row; a byte that is not
-    UTF-8, the line and the byte.
+    UTF-8, the line and the byte; a line other than whitespace after the
+    last matrix, that line.
     """
     lines = [ln.rstrip("\n") for ln in io.StringIO(read_text(path))]
     header, basis = decode_header(path, lines[:6], "system file", "d", {"r": int})
     K, r = basis.K, header["r"]
-    body = lines[6:6 + (1 + r) * K]
+    end = 6 + (1 + r) * K
+    body = lines[6:end]
     if len(body) < (1 + r) * K:
         block = len(body) // K
         raise ValueError(f"{path}: truncated matrix {_matrix_name(block)}: "
@@ -306,6 +308,10 @@ def load_system(path) -> GalerkinSystem:
     rows = decode_rows(body, K)
     if rows is None or rows.shape[0] != len(body):     # a blank row was skipped
         rows = np.array([_system_row(path, line, i, K) for i, line in enumerate(body)])
+    extra = next((i for i, line in enumerate(lines[end:], end + 1) if line.strip()), None)
+    if extra is not None:
+        raise ValueError(f"{path}: line {extra}: unexpected content after matrix "
+                         f"{_matrix_name(r)}")
     mats = rows.reshape(1 + r, K, K)
     return GalerkinSystem(K=K, r=r, A=mats[0], B=mats[1:], basis=basis)
 

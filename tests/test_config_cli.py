@@ -266,6 +266,27 @@ def test_sweep_single_value_single_row(tmp_path):
     assert (outdir / "sweep_n.csv").read_bytes() == (outdir2 / "sweep_n.csv").read_bytes()
 
 
+def test_sweep_csv_float_cells_parse_back_to_the_same_bits(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE + "\nbudget.C = 1.0\n")
+    outdir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg_path, "--axis", "delta", "--values", "0.1,0.2",
+                 "--out", str(outdir)]) == 0
+    rows = experiments.run_sweep(parse_config((tmp_path / "exp.cfg").read_text()), "delta",
+                                 [0.1, 0.2])
+    lines = (outdir / "sweep_delta.csv").read_text().splitlines()
+    keys = lines[0].split(",")
+    assert keys == list(rows[0])
+    for line, row in zip(lines[1:], rows, strict=True):
+        cells = dict(zip(keys, line.split(","), strict=True))
+        assert cells.pop("axis") == "delta"
+        assert {k: np.float64(v).tobytes() for k, v in cells.items()} == {
+            k: np.float64(row[k]).tobytes() for k in cells}
+    # byte for byte what the per-cell writer made before the shared row template
+    assert (outdir / "sweep_delta.csv").read_text() == lines[0] + "\n" + "".join(
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row.values()) + "\n"
+        for row in rows)
+
+
 def test_sweep_error_decreases_with_chaos_order(tmp_path):
     text = BASE.replace("discretization.delta = 0.1", "discretization.delta = 0.2")
     text = text.replace("discretization.T = 0.4", "discretization.T = 0.6")
@@ -318,6 +339,20 @@ def test_malformed_estimates_csv_is_validation_failure(tmp_path, capsys, est_tex
     assert not caught
     err = capsys.readouterr().err
     assert f"{est}: " in err and message in err
+
+
+@pytest.mark.parametrize("shift, row", [(np.full(5, 0.05), 1), (np.eye(5)[2] * 1e-6, 3)])
+def test_misaligned_estimates_csv_is_validation_failure(tmp_path, capsys, shift, row):
+    # the replay's window ends are 0, 0.1, ..., 0.4; shift moves the estimates' t column
+    t = (np.linspace(0.0, 0.4, 5) + shift).tolist()
+    cfg_path, obs, est = _compare_inputs(tmp_path, "t,estimate,mass\n" + "".join(
+        f"{a!r},0.5,1\n" for a in t))
+    assert main(["compare", "--config", cfg_path, "--obs", str(obs), "--est", str(est),
+                 "--out", str(tmp_path / "cmp")]) == 2
+    expected = np.linspace(0.0, 0.4, 5).tolist()[row - 1]
+    assert (f"invalid input [compare]: {est}: row {row}: t = {t[row - 1]!r} is off the "
+            f"replay's window grid, expected {expected!r}") in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_csvs_match_the_f_string_writer_byte_for_byte(tmp_path):

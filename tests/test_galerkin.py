@@ -387,6 +387,18 @@ def _edited_system(tmp_path, system, edit):
     return path
 
 
+def test_load_system_rejects_content_after_the_last_matrix(tmp_path, ou_system_k4):
+    # 6 header lines and 2 matrices of 4 rows: line 15 is blank, line 16 is extra
+    path = _edited_system(tmp_path, ou_system_k4, lambda lines: lines.extend([" ", "x"]))
+    path.write_text(path.read_text().replace("\nx\n", "\nthis is not a row\n"))
+    with pytest.raises(ValueError, match=r"system\.txt: line 16: unexpected content after "
+                                         r"matrix B_1"):
+        load_system(path)
+    # trailing whitespace alone still loads
+    path = _edited_system(tmp_path, ou_system_k4, lambda lines: lines.extend(["", " \t"]))
+    assert np.array_equal(load_system(path).B, ou_system_k4.B)
+
+
 def test_load_system_names_rows_all_too_short(tmp_path, ou_system_k4):
     # every row one value short: the rows agree with each other, not with K
     def edit(lines):

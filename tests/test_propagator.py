@@ -127,6 +127,24 @@ def test_precompute_table_shapes_and_empty_column(ou_system_k8):
     assert np.max(np.abs(table.matrices[0] - exact)) < 1e-10
 
 
+def test_default_substeps_table_is_within_1e_6_of_four_times_the_substeps():
+    # at least 16 RK4 points per period of the fastest cosine, cos((n-1) pi s / delta)
+    assert all(default_substeps(n) >= max(64, 8 * (n - 1)) for n in range(1, 17))
+    # correlated-ou at the live N, n and delta; K=16 keeps it fast.  The error is
+    # taken relative to the table's largest entry: every layer enters the window
+    # update with a weight xi_alpha of order one, so this is the error the update
+    # sees.  Half the default (32 substeps) measures 1.7e-6 here, the default 5.5e-8.
+    cfg = parse_config("model.name = correlated-ou\ndiscretization.K = 16\n"
+                       "discretization.N = 3\ndiscretization.n = 8\n"
+                       "discretization.delta = 0.01\ndiscretization.T = 1\n")
+    pipe = experiments.build_pipeline(cfg)
+    table = precompute_table(pipe.system, pipe.tbasis, 3, 8)
+    fine = precompute_table(pipe.system, pipe.tbasis, 3, 8, substeps=4 * table.substeps)
+    assert table.substeps == default_substeps(8)
+    err = np.max(np.abs(table.matrices - fine.matrices)) / np.max(np.abs(fine.matrices))
+    assert err < 1e-6
+
+
 def test_precompute_table_n0():
     sys_ = random_stable_system(4, seed=9)
     tb = cosine_basis(0.2, 1)
@@ -390,6 +408,26 @@ def test_load_table_names_malformed_text_row(tmp_path, ou_system_k4, change, mes
     path = _edited_text_table(tmp_path, ou_system_k4, edit)
     with pytest.raises(ValueError, match=re.escape(f"t.txt: matrix 2 of 3, row 3: {message}")):
         load_table(path)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_load_table_rejects_content_after_the_declared_blocks(tmp_path, ou_system_k4, binary):
+    path = _truncated_table(tmp_path, ou_system_k4, binary, len)
+    size = len(path.read_bytes())
+    path.write_bytes(path.read_bytes() + b"\n 1:1:1\n")
+    # text: 12 header lines and 3 blocks of 1 + 4 lines, a blank line 28, then line 29
+    where = f"byte offset {size + 2}" if binary else "line 29"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: {where}: unexpected content after the 3 declared index blocks")):
+        load_table(path)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_load_table_accepts_trailing_whitespace(tmp_path, ou_system_k4, binary):
+    path = _truncated_table(tmp_path, ou_system_k4, binary, len)
+    table = load_table(path)
+    path.write_bytes(path.read_bytes() + b"\n \t\n")
+    assert load_table(path).matrices.tobytes() == table.matrices.tobytes()
 
 
 def test_load_table_names_non_ascii_text_row(tmp_path, ou_system_k4):
@@ -732,7 +770,7 @@ def correlated_ou_k32():
                        "discretization.N = 3\ndiscretization.n = 8\n"
                        "discretization.delta = 0.01\ndiscretization.T = 1\n")
     pipe = experiments.build_pipeline(cfg)
-    # 32 substeps in place of 128: the columns' sums are the same at any count
+    # 32 substeps in place of the default 64: the columns' sums are the same at any count
     return pipe.system, pipe.tbasis, serial_table(pipe.system, pipe.tbasis, 3, 8, substeps=32)
 
 

@@ -13,10 +13,11 @@ then both readers read it:
   KeyError or a bare int(), float() or numpy error from a header or a
   system file), one that does.
 
-Three files the oracles accept are now rejected on purpose, with a named
-ValueError: a table whose `format=` is neither text nor binary, a table
-whose header holds a negative count, and a system file whose rows do not
-hold K values each.
+Four kinds of file the oracles accept are now rejected on purpose, with a
+named ValueError: a table whose `format=` is neither text nor binary, a
+table whose header holds a negative count, a system file whose rows do
+not hold K values each, and a table or system file with content other
+than whitespace after its declared blocks (which the oracles ignore).
 """
 
 import re
@@ -58,6 +59,11 @@ def _read_line_oracle(buf, cursor):
 
 
 def load_table_oracle(path):
+    return _table_oracle(path)[0]
+
+
+def _table_oracle(path):
+    """(table, the bytes after its declared blocks)."""
     with open(path, "rb") as fh:
         buf = fh.read()
     cursor = 0
@@ -114,7 +120,7 @@ def load_table_oracle(path):
                 mats[a, i] = row
     return PropagatorTable(K=K, r=r, delta=float(header["delta"]), N=int(header["N"]),
                            n=int(header["n"]), substeps=int(header["substeps"]),
-                           basis=basis, indices=tuple(indices), matrices=mats)
+                           basis=basis, indices=tuple(indices), matrices=mats), buf[cursor:]
 
 
 def _line_number_oracle(path, k):
@@ -282,7 +288,11 @@ def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, case):
     path = tmp_path_factory.mktemp("tbl") / "t.tbl"
     save_table(path, table, binary=binary)
     path.write_bytes(data.draw(corrupted(path.read_bytes())))
-    _same_outcome(path, load_table_oracle, load_table, _same_table, _bad_format)
+    def rejected_on_purpose(path, table):
+        return (_bad_format(path, table)
+                or (table is not None and bool(_table_oracle(path)[1].strip())))
+
+    _same_outcome(path, load_table_oracle, load_table, _same_table, rejected_on_purpose)
 
 
 @FUZZ
@@ -315,8 +325,14 @@ def test_system_reader_matches_row_by_row_oracle(tmp_path_factory, data, K, r):
         return ((a.K, a.r, a.basis.gammas) == (b.K, b.r, b.basis.gammas)
                 and a.A.tobytes() == b.A.tobytes() and a.B.tobytes() == b.B.tobytes())
 
-    def wrong_shape(path, system):     # rows of another width: the oracle took them as they came
-        return system is not None and (system.A.shape != (system.K,) * 2
-                                       or system.B.shape != (system.r,) + (system.K,) * 2)
+    def rejected_on_purpose(path, system):
+        if system is None:
+            return False
+        # rows of another width: the oracle took them as they came
+        wrong_shape = (system.A.shape != (system.K,) * 2
+                       or system.B.shape != (system.r,) + (system.K,) * 2)
+        with open(path) as fh:       # the oracle reads the lines after the last matrix
+            trailing = any(ln.strip() for ln in list(fh)[6 + (1 + system.r) * system.K:])
+        return wrong_shape or trailing
 
-    _same_outcome(path, load_system_oracle, load_system, same, wrong_shape)
+    _same_outcome(path, load_system_oracle, load_system, same, rejected_on_purpose)
