@@ -106,7 +106,8 @@ def _cmd_compare(args) -> int:
     stride = int(round(cfg.delta / delta_obs))
     oracle_t, oracle = times[::stride], means[::stride]
     if oracle.size != est.size:
-        raise ConfigError(f"estimate rows ({est.size}) do not match windows ({oracle.size})")
+        raise ConfigError(f"{args.est}: estimate rows ({est.size}) do not match windows "
+                          f"({oracle.size})")
     off = np.flatnonzero(~(np.abs(est_t - oracle_t) <= 1e-9))   # NaN is off the grid too
     if off.size:
         i = off[0]

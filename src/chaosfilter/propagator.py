@@ -77,11 +77,11 @@ def cosine_basis(delta: float, n: int) -> TemporalBasis:
 
 def default_substeps(n: int) -> int:
     # The fastest cosine, cos((n-1) pi s / delta), runs (n-1)/2 periods per
-    # window; 8 n substeps put at least 16 points in each.  Against 1024 or
-    # 2048 substeps the table error, relative to each layer's largest entry,
-    # is at most 3.7e-7 at n = 8 (correlated-ou K=32 N=3), far below the
-    # chaos truncation error (~2e-3 there).  The floor of 64 keeps small n
-    # exact enough for the scalar Parseval limit (n=1, N=12, bound 1e-10).
+    # window; 8 n substeps put at least 16 RK4 points in each.  Against 2048
+    # substeps the table then differs by at most 1.0e-7 of its largest entry
+    # at correlated-ou K=32 N=3 n=8 (3.2e-9 at 16 n), far below the chaos
+    # truncation error there (~2e-3).  The floor of 64 keeps small n within
+    # the 1e-10 of the scalar Parseval limit (n=1, N=12, delta=1).
     return max(64, 8 * n)
 
 

@@ -329,6 +329,7 @@ def _compare_inputs(tmp_path, est_text):
 @pytest.mark.parametrize("est_text, message", [
     ("t,estimate,mass\n0,0.5,abc\n", "could not convert string 'abc'"),
     ("t,estimate,mass\n", "expected rows of 't,estimate,...' after the header"),
+    ("t,estimate,mass\n0,0.5,1\n0.1,0.5,1\n", "estimate rows (2) do not match windows (5)"),
 ])
 def test_malformed_estimates_csv_is_validation_failure(tmp_path, capsys, est_text, message):
     cfg_path, obs, est = _compare_inputs(tmp_path, est_text)
