@@ -389,8 +389,8 @@ def _edited_system(tmp_path, system, edit):
 
 def test_load_system_rejects_content_after_the_last_matrix(tmp_path, ou_system_k4):
     # 6 header lines and 2 matrices of 4 rows: line 15 is blank, line 16 is extra
-    path = _edited_system(tmp_path, ou_system_k4, lambda lines: lines.extend([" ", "x"]))
-    path.write_text(path.read_text().replace("\nx\n", "\nthis is not a row\n"))
+    path = _edited_system(tmp_path, ou_system_k4,
+                          lambda lines: lines.extend([" ", "this is not a row"]))
     with pytest.raises(ValueError, match=r"system\.txt: line 16: unexpected content after "
                                          r"matrix B_1"):
         load_system(path)
