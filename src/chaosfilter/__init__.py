@@ -16,9 +16,9 @@ from .hermite import (QuadratureGrid, SpatialBasis, build_basis, eval_basis, gau
 from .models import ModelBundle, build_model, correlated_ou, cubic_sensor, ou_linear
 from .multiindex import (CharacteristicSet, MultiIndex, characteristic_set, empty_index,
                          enumerate_truncated, factorial, hermite_poly, lower, xi_eval)
-from .propagator import (ErrorBudget, PropagatorTable, TemporalBasis, brownian_second_moment,
-                         chaos_error_bound, closed_form_order1, cosine_basis, filter_error_bound,
-                         load_table, parseval_mass, precompute_table, save_table, solve_phi)
+from .propagator import (PropagatorTable, TemporalBasis, brownian_second_moment,
+                         closed_form_order1, cosine_basis, load_table, parseval_mass,
+                         precompute_table, save_table, solve_phi, truncation_certificate)
 from .reference import ComparisonSummary, LinearModel, compare_on_path, kalman_bucy
 from .runtime import (DegenerateNormalizationError, FilterRun, FilterState, ObservationWindow,
                       advance, cut_windows, density_at, estimate, functional, read_observations,

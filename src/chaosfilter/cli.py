@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .experiments import build_pipeline, check_consistency, make_table, run_sweep, simulate_full
 from .hermite import write_rows
-from .propagator import load_table, save_table
+from .propagator import load_table, save_table, truncation_certificate
 from .reference import compare_on_path, kalman_bucy
 from .runtime import (FilterRun, cut_windows, read_observations, run_filter, write_estimate_csv,
                       write_observations, write_state_csv)
@@ -38,7 +38,8 @@ def _cmd_precompute(args) -> int:
     pipe = build_pipeline(cfg)
     table = make_table(pipe)
     save_table(args.out, table, binary=args.binary)
-    print(f"wrote {len(table.indices)} index blocks to {args.out}")
+    print(f"wrote {len(table.indices)} index blocks to {args.out}; truncation certificate "
+          f"rho = {truncation_certificate(pipe.system, table):.3g}")
     return 0
 
 

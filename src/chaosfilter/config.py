@@ -3,8 +3,7 @@
 Files hold 'section.key = value' lines ('#' starts a comment); there are
 no nested structures, so any tooling can parse them.  Sections: model
 (named built-in plus free coefficients), discretization (K, N, n, delta,
-T, steps, quadrature), run (seed, paths, outdir) and budget (optional
-constants C and eps_B for the sweep's bound columns).  Every documented
+T, steps, quadrature) and run (seed, paths, outdir).  Every documented
 precondition is checked here, before any work happens, and violations
 name the offending field.
 """
@@ -24,7 +23,6 @@ class ConfigError(ValueError):
 _MODEL_KEYS = {"name", "a", "sigma", "rho", "h", "eps", "m0", "P0"}
 _DISC_KEYS = {"K", "N", "n", "delta", "T", "delta_obs", "delta_sim", "substeps", "quad_m"}
 _RUN_KEYS = {"seed", "paths", "outdir"}
-_BUDGET_KEYS = {"C", "eps_B"}
 
 
 @dataclass
@@ -43,7 +41,6 @@ class ExperimentConfig:
     seed: int = 0
     paths: int = 1
     outdir: str = "out"
-    budget: dict = field(default_factory=dict)
 
     def resolved_delta_obs(self) -> float:
         return self.delta / (8 * self.n) if self.delta_obs is None else self.delta_obs
@@ -90,9 +87,6 @@ class ExperimentConfig:
             raise ConfigError(f"discretization.quad_m: must be in 1..150, got {self.quad_m}")
         if self.paths < 1:
             raise ConfigError(f"run.paths: must be >= 1, got {self.paths}")
-        for key, val in self.budget.items():
-            if val < 0:
-                raise ConfigError(f"budget.{key}: must be nonnegative, got {val}")
         return self
 
 
@@ -138,10 +132,6 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in _RUN_KEYS:
                 raise ConfigError(f"run.{key}: unknown key")
             setattr(cfg, key, value)
-        elif section == "budget":
-            if key not in _BUDGET_KEYS:
-                raise ConfigError(f"budget.{key}: unknown key")
-            cfg.budget[key] = value
         else:
             raise ConfigError(f"{section}.{key}: unknown section '{section}'")
     return cfg.validate()

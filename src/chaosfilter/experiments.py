@@ -7,7 +7,7 @@ recursion, and score it against the exact or fine-grid oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,8 +15,8 @@ from .config import ConfigError, ExperimentConfig
 from .galerkin import GalerkinSystem, _euler_reports, assemble
 from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project_many
 from .models import ModelBundle, build_model
-from .propagator import (ErrorBudget, PropagatorTable, TemporalBasis, chaos_error_bound,
-                         cosine_basis, precompute_table)
+from .propagator import (PropagatorTable, TemporalBasis, cosine_basis, precompute_table,
+                         truncation_certificate)
 from .reference import kalman_bucy
 from .runtime import _recursion, _samples_per_window, _xi_weights
 from .simulate import SimulationConfig, simulate_paths
@@ -67,7 +67,16 @@ def make_table(pipe: Pipeline) -> PropagatorTable:
 
 def check_consistency(cfg: ExperimentConfig, table: PropagatorTable,
                       delta_obs: float, r: int) -> None:
-    """The metadata checks the filter command performs before any work."""
+    """The metadata checks the filter command performs before any work.
+
+    A table of fewer temporal modes n than the config's is valid: the xi integrals cover it.
+    """
+    if table.K != cfg.K:
+        raise ConfigError(f"table has K={table.K} basis functions, config has "
+                          f"discretization.K={cfg.K}")
+    if table.n > cfg.n:
+        raise ConfigError(f"table has n={table.n} temporal modes, more than the config's "
+                          f"discretization.n={cfg.n}")
     if abs(table.delta - cfg.delta) > 1e-12 * max(1.0, cfg.delta):
         raise ConfigError(f"table delta {table.delta} does not match config delta {cfg.delta}")
     if table.r != r:
@@ -141,19 +150,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
 
     Observation paths share the seed across sweep points, so rows are
     directly comparable.  Each row reports the mean-square estimate error
-    against the oracle plus, when budget constants were supplied, the
-    matching bound terms.
+    against the oracle and the table's truncation certificate.
     """
     if axis not in {"K", "N", "n", "delta"}:
         raise ConfigError(f"sweep axis must be one of K, N, n, delta, got '{axis}'")
     rows = []
     for value in values:
-        sub = ExperimentConfig(**{**cfg.__dict__})
-        sub.model_params = dict(cfg.model_params)
-        sub.budget = dict(cfg.budget)
-        setattr(sub, "delta" if axis == "delta" else axis,
-                float(value) if axis == "delta" else int(value))
-        sub.validate()
+        sub = replace(cfg, **{axis: float(value) if axis == "delta" else int(value)}).validate()
         pipe = build_pipeline(sub)
         table = make_table(pipe)
         times, _, Y = simulate_full(sub, pipe, sub.paths)
@@ -161,18 +164,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
         _, est = chaos_estimates(pipe, table, times, Y, stride)
         oracle = oracle_estimates(pipe, times, Y, stride)
         err = est - oracle
-        row = {
+        rows.append({
             "axis": axis,
             "value": value,
             "mse": float(np.mean(err * err)),
             "rmse": float(np.sqrt(np.mean(err * err))),
             "max_abs": float(np.max(np.abs(err))),
-        }
-        if "C" in sub.budget:
-            bud = ErrorBudget(delta=sub.delta, N=sub.N, n=sub.n, K=sub.K,
-                              r=pipe.bundle.filter_model.r, d=pipe.bundle.filter_model.d,
-                              C=sub.budget["C"], eps_B=sub.budget.get("eps_B", 0.0))
-            N_term, n_term, total = chaos_error_bound(bud)
-            row.update(bound_N_term=N_term, bound_n_term=n_term, bound_total=total)
-        rows.append(row)
+            "certificate": truncation_certificate(pipe.system, table),
+        })
     return rows

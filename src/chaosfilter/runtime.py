@@ -24,7 +24,12 @@ from .propagator import PropagatorTable, TemporalBasis
 
 
 class DegenerateNormalizationError(RuntimeError):
-    """Normalization mass fell below the floor; estimates are meaningless."""
+    """Normalization mass overflowed or fell below the floor; estimates are meaningless."""
+
+
+def _mass_fault(den: float, floor: float) -> str:
+    """How a normalization mass fails the floor check, for the error message."""
+    return "not finite" if not math.isfinite(den) else f"below the floor {floor:.3e}"
 
 
 _FLOOR_REL = 1e-12  # default degenerate-normalization floor, relative to the initial mass
@@ -220,8 +225,7 @@ def estimate(state: FilterState, f_coeffs, one_coeffs, floor: float = 0.0) -> fl
     den = functional(state, one_coeffs)
     if not math.isfinite(den) or abs(den) <= floor or den == 0.0:
         raise DegenerateNormalizationError(
-            f"normalization mass {den:.3e} at t={state.t} is below the floor {floor:.3e}"
-        )
+            f"normalization mass {den:.3e} at t={state.t} is {_mass_fault(den, floor)}")
     return num / den
 
 
@@ -371,7 +375,7 @@ def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs=N
                 bad = int(np.argmax(low))
                 raise DegenerateNormalizationError(
                     f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
-                    f"at t={times[i]} is below the floor {floor:.3e}")
+                    f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
             ests[:, i] = _reads(p, f_coeffs) / den
     return states, masses, ests
 

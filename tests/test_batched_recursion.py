@@ -186,6 +186,19 @@ def test_collapsed_path_is_named_with_mass_and_floor():
         experiments.chaos_estimates(pipe, table, times, Y, 1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowed_mass_is_named_not_finite():
+    pipe, table, times = scalar_pipe()
+    pipe.one_coeffs = np.array([1e300])
+    Y = np.zeros((2, times.size, 1))
+    Y[1, 1:] = 1e10                # Q = 1 + b dY = 5e9 over the first window: mass 5e309
+    message = r"mass inf of path 1 in window 1 at t=1\.0 is not finite"
+    with pytest.raises(DegenerateNormalizationError, match=message):
+        experiments.chaos_estimates(pipe, table, times, Y, 1)
+    with pytest.raises(DegenerateNormalizationError, match=r"mass inf at t=0\.5 is not finite"):
+        estimate(FilterState(0.5, np.array([5e9])), np.array([2.0]), np.array([1e300]))
+
+
 def test_advance_non_finite_names_t():
     with pytest.raises(FloatingPointError, match=r"non-finite at t=0\.75"):
         advance(FilterState(0.25, np.array([1.0, 2.0])),

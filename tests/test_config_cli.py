@@ -44,8 +44,10 @@ def test_parse_config_defaults_and_values():
 
 
 def test_parse_config_comments_and_budget():
-    cfg = parse_config(BASE + "\n# comment\nbudget.C = 1.5\nbudget.eps_B = 0\n")
-    assert cfg.budget == {"C": 1.5, "eps_B": 0.0}
+    cfg = parse_config(BASE + "\n# comment\nrun.seed = 3   # trailing comment\n")
+    assert cfg.seed == 3 and cfg.K == 6
+    with pytest.raises(ConfigError, match=r"budget\.C: unknown section 'budget'"):
+        parse_config(BASE + "\n# comment\nbudget.C = 1.5\n")
 
 
 @pytest.mark.parametrize("line,field", [
@@ -167,6 +169,37 @@ def test_filter_metadata_mismatch_is_validation_failure(tmp_path):
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("discretization.K = 6", "discretization.K = 4",
+     "table has K=4 basis functions, config has discretization.K=6"),
+    ("discretization.n = 2", "discretization.n = 4",
+     "table has n=4 temporal modes, more than the config's discretization.n=2"),
+])
+def test_table_of_other_K_or_more_modes_is_validation_failure(tmp_path, capsys, old, new,
+                                                              message):
+    cfg_path = write_cfg(tmp_path)
+    other = write_cfg(tmp_path, BASE.replace(old, new), name="other.cfg")
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", other, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"     # fine enough for n = 4, so only the new check can fail
+    write_observations(obs, 0.003125, np.linspace(0.0, 0.4, 129), np.zeros((129, 1)))
+    capsys.readouterr()
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_table_of_fewer_modes_than_the_config_filters(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE.replace("discretization.n = 2", "discretization.n = 4"))
+    small = write_cfg(tmp_path, name="small.cfg")
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", small, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.003125, np.linspace(0.0, 0.4, 129), np.zeros((129, 1)))
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 0
+
+
 def test_truncated_table_is_validation_failure(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
@@ -251,14 +284,14 @@ def test_missing_file_is_runtime_error(tmp_path):
 
 
 def test_sweep_single_value_single_row(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE + "\nbudget.C = 1.0\n")
+    cfg_path = write_cfg(tmp_path)
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg_path, "--axis", "n", "--values", "2",
                  "--out", str(outdir)]) == 0
     rows = (outdir / "sweep_n.csv").read_text().splitlines()
-    assert rows[0].startswith("axis,value,mse,rmse,max_abs")
-    assert "bound_N_term" in rows[0]
+    assert rows[0] == "axis,value,mse,rmse,max_abs,certificate"
     assert len(rows) == 2
+    assert 0.0 < float(rows[1].split(",")[-1]) < 1.0
     # rerun is byte-identical
     outdir2 = tmp_path / "sweep2"
     assert main(["sweep", "--config", cfg_path, "--axis", "n", "--values", "2",
@@ -267,7 +300,7 @@ def test_sweep_single_value_single_row(tmp_path):
 
 
 def test_sweep_csv_float_cells_parse_back_to_the_same_bits(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE + "\nbudget.C = 1.0\n")
+    cfg_path = write_cfg(tmp_path)
     outdir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg_path, "--axis", "delta", "--values", "0.1,0.2",
                  "--out", str(outdir)]) == 0
@@ -275,7 +308,7 @@ def test_sweep_csv_float_cells_parse_back_to_the_same_bits(tmp_path):
                                  [0.1, 0.2])
     lines = (outdir / "sweep_delta.csv").read_text().splitlines()
     keys = lines[0].split(",")
-    assert keys == list(rows[0])
+    assert keys == list(rows[0]) and keys[-1] == "certificate"
     for line, row in zip(lines[1:], rows, strict=True):
         cells = dict(zip(keys, line.split(","), strict=True))
         assert cells.pop("axis") == "delta"

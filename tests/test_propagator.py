@@ -5,18 +5,18 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from chaosfilter import experiments, propagator
 from chaosfilter.config import parse_config
-from chaosfilter.galerkin import GalerkinSystem
+from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import basis_fields, build_basis, encode_header, project
 from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
-from chaosfilter.propagator import (ErrorBudget, PropagatorTable, brownian_second_moment,
-                                    chaos_error_bound, closed_form_order1, cosine_basis,
-                                    coupling_groups, default_substeps, filter_error_bound,
-                                    load_table, parseval_mass, precompute_table, rk4, save_table,
-                                    solve_phi)
+from chaosfilter.propagator import (PropagatorTable, brownian_second_moment, closed_form_order1,
+                                    cosine_basis, coupling_groups, default_substeps, load_table,
+                                    parseval_mass, precompute_table, rk4, save_table, solve_phi,
+                                    truncation_certificate)
+from chaosfilter.runtime import ObservationWindow, step_matrix, xi_integrals
 
 from conftest import gaussian_p0
 
@@ -231,44 +231,67 @@ def test_parseval_mass_approaches_moment_flow(ou_system_k4, grid64):
     assert total == pytest.approx(exact, rel=1e-4)
 
 
-def test_chaos_error_bound_examples():
-    nb, nt, tot = chaos_error_bound(ErrorBudget(delta=0.1, N=2, n=4, C=1.0, eps_B=0.0))
-    assert tot == pytest.approx(math.exp(0.1) * (0.1 ** 3 / 6 + 0.01 * 0.1 / 4), rel=1e-12)
-    # doubling n halves the n-term exactly
-    _, nt2, _ = chaos_error_bound(ErrorBudget(delta=0.1, N=2, n=8, C=1.0))
-    assert nt2 == pytest.approx(nt / 2.0, rel=1e-14)
-    # factorial decay of the N-term
-    n_terms = [chaos_error_bound(ErrorBudget(delta=0.1, N=N, n=4, C=1.0))[0]
-               for N in range(0, 12, 2)]
-    assert all(b < a for a, b in zip(n_terms, n_terms[1:]))
-    assert n_terms[-1] < 1e-16
+# The truncation certificate rho = lambda_max(G - P, G) of one window.
+
+def test_truncation_certificate_vanishes_without_noise(ou_system_k4):
+    # G and P come from two RK4 flows, so rho keeps their O(h^4) gap: with
+    # B = 0 it is 2e-8 at K=4, delta=0.3 and 64 substeps, and within 1e-10
+    # at the workloads' window delta=0.01.
+    for system in (ou_system_k4, random_stable_system(3, r=2, seed=4)):
+        nonoise = dataclasses.replace(system, B=np.zeros_like(system.B))
+        table = precompute_table(nonoise, cosine_basis(0.01, 3), 2, 3)
+        assert abs(truncation_certificate(nonoise, table)) <= 1e-10
 
 
-def test_filter_error_bound_exponents_and_guards():
-    base = ErrorBudget(delta=0.05, N=2, n=4, K=8, d=1, nu=3, C_rho=0.0, c_nu_T=1.0)
-    fb1 = filter_error_bound(base)
-    fb2 = filter_error_bound(ErrorBudget(delta=0.05, N=2, n=4, K=16, d=1, nu=3,
-                                         C_rho=0.0, c_nu_T=1.0))
-    # d=1, nu=3: the spatial-truncation term decays as K^-2
-    assert fb2.galerkin_term == pytest.approx(fb1.galerkin_term / 4.0, rel=1e-12)
-    # with C_rho = 0 the N-term carries no K-dependence
-    assert fb2.N_term == pytest.approx(fb1.N_term, rel=1e-14)
-    with pytest.raises(ValueError):
-        filter_error_bound(ErrorBudget(delta=0.05, N=2, n=4, K=8, d=1, nu=2))
-    with pytest.raises(ValueError):
-        filter_error_bound(ErrorBudget(delta=0.05, N=2, n=4, K=8, d=1, nu=3,
-                                       w=1.5, C_f=1.0))
+def test_truncation_certificate_does_not_increase_with_N(ou_system_k4):
+    tb = cosine_basis(0.5, 2)
+    rhos = [truncation_certificate(ou_system_k4, precompute_table(ou_system_k4, tb, N, 2))
+            for N in range(5)]
+    assert 0.0 < rhos[-1] and rhos[0] < 1.0
+    assert all(b <= a for a, b in zip(rhos, rhos[1:])), rhos
 
 
-def test_filter_error_bound_correlated_inflation():
-    lo = filter_error_bound(ErrorBudget(delta=0.05, N=2, n=4, K=8, d=1, nu=3, C_rho=0.5))
-    hi = filter_error_bound(ErrorBudget(delta=0.05, N=2, n=4, K=16, d=1, nu=3, C_rho=0.5))
-    assert hi.n_term > lo.n_term   # reported, not a convergence claim
+@pytest.mark.parametrize("system", [None, random_stable_system(4, r=2, seed=9)])
+def test_truncation_certificate_zeta_form_is_parseval_over_second_moment(ou_system_k4, system):
+    system = system or ou_system_k4
+    table = precompute_table(system, cosine_basis(0.4, 3), 2, 3)
+    G, P = propagator._certificate_pencil(system, table)
+    rho = truncation_certificate(system, table)
+    assert rho == pytest.approx(eigh(G - P, G, eigvals_only=True)[-1], abs=1e-12)
+    for zeta in np.random.default_rng(3).normal(size=(4, system.K)):
+        form = 1.0 - (zeta @ P @ zeta) / (zeta @ G @ zeta)
+        moment = brownian_second_moment(system, table.delta, zeta, substeps=table.substeps)
+        assert abs(form - (1.0 - parseval_mass(table, zeta)[0] / moment)) <= 1e-10
+        assert form <= rho + 1e-12
 
 
-def test_budget_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        ErrorBudget(delta=-0.1, N=2, n=4)
+def test_truncation_certificate_is_the_monte_carlo_error_of_the_worst_start(ou_system_k4):
+    # As in acceptance criterion 4: fine-grid Euler paths are the exact
+    # window solution; the table's one-window step from the maximising
+    # start misses rho of its mean-square under Brownian driving.
+    delta, nsteps, npaths = 0.25, 128, 10_000
+    tb = cosine_basis(delta, 2)
+    table = precompute_table(ou_system_k4, tb, 1, 2)
+    rho = truncation_certificate(ou_system_k4, table)
+    G, P = propagator._certificate_pencil(ou_system_k4, table)
+    zeta = eigh(G - P, G)[1][:, -1]         # the maximising start, zeta^T G zeta = 1
+    rng = np.random.default_rng(5)
+    dW = rng.normal(scale=math.sqrt(delta / nsteps), size=(npaths, nsteps))
+    Y = np.concatenate([np.zeros((npaths, 1)), np.cumsum(dW, axis=1)], axis=1)[:, :, None]
+    exact = integrate_galerkin_sde_paths(ou_system_k4, Y, delta / nsteps, zeta)
+    t = np.linspace(0.0, delta, nsteps + 1)
+    chaos = np.array([step_matrix(table, xi_integrals(ObservationWindow(0.0, delta, t, y), tb))
+                      @ zeta for y in Y])
+    err = np.sum((exact - chaos) ** 2, axis=1)
+    se = err.std() / math.sqrt(npaths)
+    assert 0.1 < rho < 0.3
+    assert abs(err.mean() - rho) <= 3.0 * se, (err.mean(), se, rho)
+
+
+def test_truncation_certificate_rejects_table_of_other_system(ou_system_k4, ou_system_k8):
+    table = precompute_table(ou_system_k8, cosine_basis(0.2, 2), 1, 2)
+    with pytest.raises(ValueError, match="table has K=8, r=1 but the system has K=4, r=1"):
+        truncation_certificate(ou_system_k4, table)
 
 
 @pytest.mark.parametrize("binary", [False, True])
