@@ -37,7 +37,7 @@ def _cmd_precompute(args) -> int:
     cfg = load_config(args.config)
     pipe = build_pipeline(cfg)
     table = make_table(pipe)
-    save_table(args.out, table, binary=args.binary)
+    save_table(args.out, table, binary=not args.text)
     print(f"wrote {len(table.indices)} index blocks to {args.out}; truncation certificate "
           f"rho = {truncation_certificate(pipe.system, table):.3g}")
     return 0
@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("precompute", help="assemble matrices and write the propagator table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--binary", action="store_true")
+    p.add_argument("--text", action="store_true",
+                   help="write the table as decimal text, to read by eye (default binary)")
     p.set_defaults(fn=_cmd_precompute)
 
     p = sub.add_parser("simulate", help="simulate signal/observation paths to replay files")

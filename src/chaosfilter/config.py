@@ -3,7 +3,7 @@
 Files hold 'section.key = value' lines ('#' starts a comment); there are
 no nested structures, so any tooling can parse them.  Sections: model
 (named built-in plus free coefficients), discretization (K, N, n, delta,
-T, steps, quadrature) and run (seed, paths, outdir).  Every documented
+T, steps, quadrature) and run (seed, paths).  Every documented
 precondition is checked here, before any work happens, and violations
 name the offending field.
 """
@@ -22,7 +22,8 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = {"name", "a", "sigma", "rho", "h", "eps", "m0", "P0"}
 _DISC_KEYS = {"K", "N", "n", "delta", "T", "delta_obs", "delta_sim", "substeps", "quad_m"}
-_RUN_KEYS = {"seed", "paths", "outdir"}
+_RUN_KEYS = {"seed", "paths"}
+_KEYS = {"model": _MODEL_KEYS, "discretization": _DISC_KEYS, "run": _RUN_KEYS}
 
 
 @dataclass
@@ -40,7 +41,6 @@ class ExperimentConfig:
     quad_m: int = 64
     seed: int = 0
     paths: int = 1
-    outdir: str = "out"
 
     def resolved_delta_obs(self) -> float:
         return self.delta / (8 * self.n) if self.delta_obs is None else self.delta_obs
@@ -98,7 +98,7 @@ def _convert(section, key, value):
             return int(value)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: expected an integer, got '{value}'") from exc
-    if (section, key) in {("model", "name"), ("run", "outdir")}:
+    if (section, key) == ("model", "name"):
         return value
     try:
         return float(value)
@@ -116,24 +116,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got '{raw.strip()}'")
         lhs, value = (part.strip() for part in line.split("=", 1))
         section, _, key = lhs.partition(".")
-        value = _convert(section, key, value)
-        if section == "model":
-            if key not in _MODEL_KEYS:
-                raise ConfigError(f"model.{key}: unknown key")
-            if key == "name":
-                cfg.model_name = value
-            else:
-                cfg.model_params[key] = value
-        elif section == "discretization":
-            if key not in _DISC_KEYS:
-                raise ConfigError(f"discretization.{key}: unknown key")
-            setattr(cfg, key, value)
-        elif section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"run.{key}: unknown key")
-            setattr(cfg, key, value)
-        else:
+        keys = _KEYS.get(section)
+        if keys is None:
             raise ConfigError(f"{section}.{key}: unknown section '{section}'")
+        if key not in keys:
+            raise ConfigError(f"{section}.{key}: unknown key")
+        value = _convert(section, key, value)
+        if (section, key) == ("model", "name"):
+            cfg.model_name = value
+        elif section == "model":
+            cfg.model_params[key] = value
+        else:
+            setattr(cfg, key, value)
     return cfg.validate()
 
 

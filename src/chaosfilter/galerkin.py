@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import (QuadratureGrid, SpatialBasis, basis_fields, basis_tables, decode_header,
-                      decode_rows, encode_header, read_text, row_floats, squeeze_points,
-                      write_rows)
+                      encode_header, read_text, row_floats, squeeze_points, write_rows)
 
 
 @dataclass(frozen=True)
@@ -288,13 +287,12 @@ def save_system(path, system: GalerkinSystem) -> None:
 def load_system(path) -> GalerkinSystem:
     """Inverse of save_system.
 
-    The matrix rows are decoded in bulk; a file that does not decode is
-    read again row by row, which accepts exactly what float() accepts.
-    A missing header key or row, a row with another number of values and
-    a token that is not a float raise a ValueError naming the file and,
-    for rows, the matrix (A or B_l) and the row; a byte that is not
-    UTF-8, the line and the byte; a line other than whitespace after the
-    last matrix, that line.
+    The matrix rows are read one at a time by float().  A missing header
+    key or row, a row with another number of values and a token that is
+    not a float raise a ValueError naming the file and, for rows, the
+    matrix (A or B_l) and the row; a byte that is not UTF-8, the line and
+    the byte; a line other than whitespace after the last matrix, that
+    line.
     """
     lines = [ln.rstrip("\n") for ln in io.StringIO(read_text(path))]
     header, basis = decode_header(path, lines[:6], "system file", "d", {"r": int})
@@ -305,9 +303,7 @@ def load_system(path) -> GalerkinSystem:
         block = len(body) // K
         raise ValueError(f"{path}: truncated matrix {_matrix_name(block)}: "
                          f"expected {K} rows, found {len(body) - block * K}")
-    rows = decode_rows(body, K)
-    if rows is None or rows.shape[0] != len(body):     # a blank row was skipped
-        rows = np.array([_system_row(path, line, i, K) for i, line in enumerate(body)])
+    rows = np.array([_system_row(path, line, i, K) for i, line in enumerate(body)])
     extra = next((i for i, line in enumerate(lines[end:], end + 1) if line.strip()), None)
     if extra is not None:
         raise ValueError(f"{path}: line {extra}: unexpected content after matrix "

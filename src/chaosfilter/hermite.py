@@ -147,8 +147,8 @@ def decode_rows(lines, width: int):
     row or finds another width.  What loadtxt accepts, float() accepts
     and parses to the same bits.  On None the caller's per-row parser
     takes over: it accepts what only float() accepts (such as '1_0') and
-    names any fault.  loadtxt skips blank lines, so a caller whose format
-    has no blank lines checks the row count.
+    names any fault.  loadtxt skips blank lines, as the replay format
+    (runtime.read_observations, the one caller) does.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -31,8 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .galerkin import GalerkinSystem
-from .hermite import (SpatialBasis, basis_fields, decode_header, decode_rows, encode_header,
-                      row_floats)
+from .hermite import SpatialBasis, basis_fields, decode_header, encode_header, row_floats
 from .multiindex import (MultiIndex, enumerate_truncated, factorial, from_line, lower, slot_counts,
                          to_line)
 
@@ -503,19 +502,6 @@ def _index(path, header: dict, a: int, line: str | None):
     return alpha
 
 
-def _text_rows(fh, count: int, K: int, index_lines: list):
-    """The K rows of each of `count` text blocks; each block's index line goes to index_lines.
-
-    Stops at the first line without a newline, so that a cut file decodes short.
-    """
-    for _ in range(count):
-        index_lines.append(_line(fh))
-        for _ in range(K):
-            if (line := _line(fh)) is None:
-                return
-            yield line
-
-
 def _walk(path, fh, header: dict, K: int):
     """(indices, mats) of every block, read one at a time (text: row by row).
 
@@ -564,14 +550,12 @@ def _reject_trailing(path, fh, header: dict, K: int) -> None:
 
 
 def load_table(path) -> PropagatorTable:
-    """Inverse of save_table.
+    """Inverse of save_table; text rows are read one at a time by float().
 
-    Text rows are decoded in one pass over all blocks; a file that does
-    not decode is read again block by block, row by row, which accepts
-    exactly what float() accepts.  A truncated or malformed file raises a
-    ValueError naming the file, the header key or the index block and, in
-    text files, the matrix row; content other than whitespace after the
-    declared blocks, the line (text) or byte offset (binary) it starts at.
+    A truncated or malformed file raises a ValueError naming the file, the
+    header key or the index block and, in text files, the matrix row;
+    content other than whitespace after the declared blocks, the line
+    (text) or byte offset (binary) it starts at.
     """
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
@@ -582,18 +566,8 @@ def load_table(path) -> PropagatorTable:
     header, basis = decode_header(path, lines, "table", "basis_d", {
         "format": ("text", "binary"), "r": int, "delta": float, "N": int, "n": int,
         "substeps": int, "indices": int})
-    K, count, blocks = basis.K, header["indices"], fh.tell()
-    index_lines = []
-    rows = (None if header["format"] == "binary"
-            else decode_rows(_text_rows(fh, count, K, index_lines), K))
-    if rows is not None and rows.shape[0] == count * K:    # no blank row skipped, none cut
-        # every row parsed, so the first fault in file order is the first bad index line
-        indices = [_index(path, header, a, line) for a, line in enumerate(index_lines)]
-        mats = rows.reshape(count, K, K)
-    else:
-        fh.seek(blocks)
-        indices, mats = _walk(path, fh, header, K)
-    _reject_trailing(path, fh, header, K)
-    return PropagatorTable(K=K, r=header["r"], delta=header["delta"], N=header["N"],
+    indices, mats = _walk(path, fh, header, basis.K)
+    _reject_trailing(path, fh, header, basis.K)
+    return PropagatorTable(K=basis.K, r=header["r"], delta=header["delta"], N=header["N"],
                            n=header["n"], substeps=header["substeps"], basis=basis,
                            indices=tuple(indices), matrices=mats)

@@ -358,25 +358,27 @@ def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs=N
     masses = np.full((P, M + 1), math.nan)
     ests = np.empty((P, M + 1)) if want_est else None
     H = _hermite_table(table, xi)
-    for i in range(M + 1):
-        if i:
-            Q = _weighted_sum(table, _chaos_weights(table, H[:, i - 1]))
-            p = np.matmul(Q, p[:, :, None])[:, :, 0]
-            if not np.isfinite(p).all():
-                bad = int(np.argmin(np.isfinite(p).all(axis=1)))
-                raise FloatingPointError(f"filter state of path {bad} became non-finite "
-                                         f"in window {i} at t={times[i]}")
-        states[:, i] = p
-        if one_coeffs is not None:
-            masses[:, i] = den = _reads(p, one_coeffs)
-        if want_est:
-            low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
-            if low.any():
-                bad = int(np.argmax(low))
-                raise DegenerateNormalizationError(
-                    f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
-                    f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
-            ests[:, i] = _reads(p, f_coeffs) / den
+    # the checks below name every overflow and NaN, so numpy's warnings would only repeat them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(M + 1):
+            if i:
+                Q = _weighted_sum(table, _chaos_weights(table, H[:, i - 1]))
+                p = np.matmul(Q, p[:, :, None])[:, :, 0]
+                if not np.isfinite(p).all():
+                    bad = int(np.argmin(np.isfinite(p).all(axis=1)))
+                    raise FloatingPointError(f"filter state of path {bad} became non-finite "
+                                             f"in window {i} at t={times[i]}")
+            states[:, i] = p
+            if one_coeffs is not None:
+                masses[:, i] = den = _reads(p, one_coeffs)
+            if want_est:
+                low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
+                if low.any():
+                    bad = int(np.argmax(low))
+                    raise DegenerateNormalizationError(
+                        f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
+                        f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
+                ests[:, i] = _reads(p, f_coeffs) / den
     return states, masses, ests
 
 

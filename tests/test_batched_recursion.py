@@ -7,6 +7,7 @@ one replaced is kept below as its oracle.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,6 +198,17 @@ def test_overflowed_mass_is_named_not_finite():
         experiments.chaos_estimates(pipe, table, times, Y, 1)
     with pytest.raises(DegenerateNormalizationError, match=r"mass inf at t=0\.5 is not finite"):
         estimate(FilterState(0.5, np.array([5e9])), np.array([2.0]), np.array([1e300]))
+
+
+def test_overflowed_mass_raises_the_named_error_and_no_numpy_warning():
+    pipe, table, times = scalar_pipe()
+    pipe.one_coeffs = np.array([1e300])
+    Y = np.zeros((2, times.size, 1))
+    Y[1, 1:] = 1e10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateNormalizationError, match="is not finite"):
+            experiments.chaos_estimates(pipe, table, times, Y, 1)
 
 
 def test_advance_non_finite_names_t():

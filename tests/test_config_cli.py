@@ -1,3 +1,4 @@
+import re
 import typing
 import warnings
 
@@ -24,7 +25,6 @@ discretization.T = 0.4
 discretization.quad_m = 32
 run.seed = 12
 run.paths = 1
-run.outdir = out
 """
 
 
@@ -77,6 +77,16 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("just nonsense\n")
     with pytest.raises(ConfigError, match="integer"):
         parse_config(BASE + "\ndiscretization.K = 2.5\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("foo.bar = abc", "foo.bar: unknown section 'foo'"),
+    ("model.zeta = abc", "model.zeta: unknown key"),
+    ("run.outdir = x", "run.outdir: unknown key"),
+])
+def test_parse_config_checks_the_key_before_the_value(line, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(BASE + "\n" + line + "\n")
 
 
 def test_model_params_must_fit_builder(tmp_path):
@@ -200,10 +210,30 @@ def test_table_of_fewer_modes_than_the_config_filters(tmp_path):
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 0
 
 
+def test_precompute_writes_binary_unless_asked_for_text(tmp_path):
+    cfg_path = write_cfg(tmp_path)
+    binary, text = tmp_path / "table.tbl", tmp_path / "table.txt"
+    assert main(["precompute", "--config", cfg_path, "--out", str(binary)]) == 0
+    assert main(["precompute", "--config", cfg_path, "--out", str(text), "--text"]) == 0
+    assert b"\nformat=binary\n" in binary.read_bytes()
+    assert "\nformat=text\n" in text.read_text()
+    a, b = load_table(binary), load_table(text)
+    assert a.indices == b.indices
+    assert a.matrices.tobytes() == b.matrices.tobytes()
+    obs = tmp_path / "obs.txt"
+    t = np.linspace(0.0, 0.4, 65)
+    write_observations(obs, 0.00625, t, np.sin(7.0 * t)[:, None])
+    for table, run in ((binary, "run_b"), (text, "run_t")):
+        assert main(["filter", "--config", cfg_path, "--table", str(table),
+                     "--obs", str(obs), "--out", str(tmp_path / run)]) == 0
+    for name in ("estimates.csv", "states.csv"):
+        assert (tmp_path / "run_b" / name).read_bytes() == (tmp_path / "run_t" / name).read_bytes()
+
+
 def test_truncated_table_is_validation_failure(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
-    assert main(["precompute", "--config", cfg_path, "--out", str(table), "--binary"]) == 0
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
     table.write_bytes(table.read_bytes()[:-8])
     obs = tmp_path / "obs.txt"
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
@@ -226,7 +256,7 @@ def test_ragged_replay_is_validation_failure(tmp_path, capsys):
 def test_malformed_table_row_is_validation_failure(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
-    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    assert main(["precompute", "--config", cfg_path, "--out", str(table), "--text"]) == 0
     lines = table.read_text().splitlines(keepends=True)
     lines[14] = lines[14].split(" ", 1)[1]          # drop a value of matrix 1, row 2
     table.write_text("".join(lines))
@@ -246,7 +276,7 @@ def test_malformed_table_row_is_validation_failure(tmp_path, capsys):
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
-    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    assert main(["precompute", "--config", cfg_path, "--out", str(table), "--text"]) == 0
     table.write_text(table.read_text().replace(old, new, 1))
     obs = tmp_path / "obs.txt"
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))

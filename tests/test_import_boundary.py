@@ -28,7 +28,6 @@ discretization.T = 0.4
 discretization.quad_m = 32
 run.seed = 12
 run.paths = 1
-run.outdir = out
 """
 
 # Prints, as JSON, the scipy modules loaded after each step; `commands` is

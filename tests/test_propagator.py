@@ -387,19 +387,6 @@ def test_load_table_rejects_text_table_without_final_newline(tmp_path, ou_system
         load_table(path)
 
 
-def test_load_table_streams_text_table_ending_at_its_last_newline(tmp_path, ou_system_k4,
-                                                                  monkeypatch):
-    table = precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64)
-    path = tmp_path / "t.txt"
-    save_table(path, table)
-    assert path.read_bytes().endswith(b"\n") and not path.read_bytes().endswith(b"\n\n")
-    # the one-pass decode reads it: the block-by-block reader is never called
-    monkeypatch.setattr(propagator, "_walk", lambda *args: pytest.fail("read block by block"))
-    back = load_table(path)
-    assert back.indices == table.indices
-    assert back.matrices.tobytes() == table.matrices.tobytes()
-
-
 def _edited_text_table(tmp_path, ou_system_k4, edit):
     # 3 index blocks of a K=4 table; edit(lines) changes the text lines in place
     path = tmp_path / "t.txt"
@@ -491,8 +478,8 @@ def test_load_table_names_index_outside_truncation(tmp_path, ou_system_k4, line,
 
 
 def _long_text_table(tmp_path, edit):
-    # 21 index blocks (N = 2, n = 5, r = 1) of K = 3, two bulk-decode groups;
-    # edit(lines) changes the text lines in place
+    # 21 index blocks (N = 2, n = 5, r = 1) of K = 3; edit(lines) changes the
+    # text lines in place
     indices = tuple(enumerate_truncated(2, 5, 1))
     mats = np.random.default_rng(8).normal(size=(len(indices), 3, 3))
     table = PropagatorTable(K=3, r=1, delta=0.25, N=2, n=5, substeps=8,
@@ -511,7 +498,7 @@ def _long_row(block, i):
 
 
 def test_load_table_reads_float_only_values_in_a_later_group(tmp_path):
-    # '1_0' is a float to float(), not to the bulk decoder: its group is read row by row
+    # '1_0' is a float to float() but not to np.loadtxt: the row-by-row read takes it
     def edit(lines):
         lines[_long_row(18, 2)] = "1_0 " + lines[_long_row(18, 2)].split(" ", 1)[1]
 
