@@ -9,8 +9,7 @@ product per step.
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .galerkin import (FilterModel, GalerkinSystem, apply_M, apply_generator, assemble,
-                       dissipativity_gap, integrate_galerkin_sde, integrate_galerkin_sde_paths,
-                       load_system, save_system)
+                       dissipativity_gap, integrate_galerkin_sde, integrate_galerkin_sde_paths)
 from .hermite import (QuadratureGrid, SpatialBasis, build_basis, eval_basis, gauss_hermite_grid,
                       gram_matrix, lambda_power_norm, project)
 from .models import ModelBundle, build_model, correlated_ou, cubic_sensor, ou_linear

@@ -37,7 +37,7 @@ def _cmd_precompute(args) -> int:
     cfg = load_config(args.config)
     pipe = build_pipeline(cfg)
     table = make_table(pipe)
-    save_table(args.out, table, binary=not args.text)
+    save_table(args.out, table)
     print(f"wrote {len(table.indices)} index blocks to {args.out}; truncation certificate "
           f"rho = {truncation_certificate(pipe.system, table):.3g}")
     return 0
@@ -64,6 +64,7 @@ def _cmd_filter(args) -> int:
     cfg = load_config(args.config)
     table = _parse(args.table, load_table, args.table)
     delta_obs, r, times, values = _parse(args.obs, read_observations, args.obs)
+    check_consistency(cfg, table, delta_obs, r)
     os.makedirs(args.out, exist_ok=True)
     state_csv = os.path.join(args.out, "states.csv")
     est_csv = os.path.join(args.out, "estimates.csv")
@@ -74,7 +75,6 @@ def _cmd_filter(args) -> int:
         write_estimate_csv(est_csv, empty)
         print("no samples; wrote header-only CSVs")
         return 0
-    check_consistency(cfg, table, delta_obs, r)
     pipe = build_pipeline(cfg)
     windows = _parse(args.obs, cut_windows, times, values, cfg.delta)
     run = run_filter(table, pipe.tbasis, pipe.p_init, windows,
@@ -156,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("precompute", help="assemble matrices and write the propagator table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--text", action="store_true",
-                   help="write the table as decimal text, to read by eye (default binary)")
     p.set_defaults(fn=_cmd_precompute)
 
     p = sub.add_parser("simulate", help="simulate signal/observation paths to replay files")

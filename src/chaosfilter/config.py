@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 
 
 _MODEL_KEYS = {"name", "a", "sigma", "rho", "h", "eps", "m0", "P0"}
-_DISC_KEYS = {"K", "N", "n", "delta", "T", "delta_obs", "delta_sim", "substeps", "quad_m"}
+_DISC_KEYS = {"K", "N", "n", "delta", "T", "delta_obs", "delta_sim", "quad_m"}
 _RUN_KEYS = {"seed", "paths"}
 _KEYS = {"model": _MODEL_KEYS, "discretization": _DISC_KEYS, "run": _RUN_KEYS}
 
@@ -37,7 +37,6 @@ class ExperimentConfig:
     T: float = 1.0
     delta_obs: float | None = None     # default delta / (8 n)
     delta_sim: float | None = None     # default delta_obs / 4
-    substeps: int | None = None        # default max(64, 8 n)
     quad_m: int = 64
     seed: int = 0
     paths: int = 1
@@ -49,7 +48,7 @@ class ExperimentConfig:
         return self.resolved_delta_obs() / 4 if self.delta_sim is None else self.delta_sim
 
     def resolved_substeps(self) -> int:
-        return default_substeps(self.n) if self.substeps is None else self.substeps
+        return default_substeps(self.n)
 
     def validate(self) -> "ExperimentConfig":
         if self.model_name not in MODEL_NAMES:
@@ -81,8 +80,6 @@ class ExperimentConfig:
         rat = dobs / dsim
         if abs(rat - round(rat)) > 1e-9:
             raise ConfigError("discretization.delta_sim: must divide delta_obs evenly")
-        if self.resolved_substeps() < 1:
-            raise ConfigError("discretization.substeps: must be >= 1")
         if not 1 <= self.quad_m <= 150:
             raise ConfigError(f"discretization.quad_m: must be in 1..150, got {self.quad_m}")
         if self.paths < 1:
@@ -91,7 +88,7 @@ class ExperimentConfig:
 
 
 def _convert(section, key, value):
-    ints = {("discretization", k) for k in ("K", "N", "n", "substeps", "quad_m")}
+    ints = {("discretization", k) for k in ("K", "N", "n", "quad_m")}
     ints |= {("run", "seed"), ("run", "paths")}
     if (section, key) in ints:
         try:

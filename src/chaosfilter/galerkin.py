@@ -24,13 +24,11 @@ rule, so user coefficients are only ever evaluated, never differentiated.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import (QuadratureGrid, SpatialBasis, basis_fields, basis_tables, decode_header,
-                      encode_header, read_text, row_floats, squeeze_points, write_rows)
+from .hermite import QuadratureGrid, SpatialBasis, basis_tables, squeeze_points
 
 
 @dataclass(frozen=True)
@@ -270,59 +268,6 @@ def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
         raise ValueError("report_stride must divide the number of steps")
     y = np.reshape(y_path, (1, len(y_path), -1))
     return _euler_reports(system, y, delta, p_init, report_stride)[:, :, 0]
-
-
-def save_system(path, system: GalerkinSystem) -> None:
-    """Write the projected matrices as text: header then row-major entries.
-
-    The header carries d, K, r and the basis metadata; A and each noise
-    matrix follow as K lines of 17-significant-digit decimals, so the file
-    round-trips bit-exactly through load_system.
-    """
-    b = system.basis
-    write_rows(path, encode_header({"d": b.d, "K": system.K, "r": system.r, **basis_fields(b)}),
-               " ".join(["%.17g"] * system.K) + "\n", np.concatenate([system.A, *system.B]))
-
-
-def load_system(path) -> GalerkinSystem:
-    """Inverse of save_system.
-
-    The matrix rows are read one at a time by float().  A missing header
-    key or row, a row with another number of values and a token that is
-    not a float raise a ValueError naming the file and, for rows, the
-    matrix (A or B_l) and the row; a byte that is not UTF-8, the line and
-    the byte; a line other than whitespace after the last matrix, that
-    line.
-    """
-    lines = [ln.rstrip("\n") for ln in io.StringIO(read_text(path))]
-    header, basis = decode_header(path, lines[:6], "system file", "d", {"r": int})
-    K, r = basis.K, header["r"]
-    end = 6 + (1 + r) * K
-    body = lines[6:end]
-    if len(body) < (1 + r) * K:
-        block = len(body) // K
-        raise ValueError(f"{path}: truncated matrix {_matrix_name(block)}: "
-                         f"expected {K} rows, found {len(body) - block * K}")
-    rows = np.array([_system_row(path, line, i, K) for i, line in enumerate(body)])
-    extra = next((i for i, line in enumerate(lines[end:], end + 1) if line.strip()), None)
-    if extra is not None:
-        raise ValueError(f"{path}: line {extra}: unexpected content after matrix "
-                         f"{_matrix_name(r)}")
-    mats = rows.reshape(1 + r, K, K)
-    return GalerkinSystem(K=K, r=r, A=mats[0], B=mats[1:], basis=basis)
-
-
-def _matrix_name(block: int) -> str:
-    return "A" if block == 0 else f"B_{block}"
-
-
-def _system_row(path, line: str, i: int, K: int) -> list[float]:
-    """Body row i of a system file; a ValueError names the matrix and its row."""
-    try:
-        return row_floats(line, K)
-    except ValueError as exc:
-        raise ValueError(f"{path}: matrix {_matrix_name(i // K)}, row {i % K + 1}: "
-                         f"{exc}") from None
 
 
 def integrate_galerkin_sde_paths(system, y_paths, delta, p_init):

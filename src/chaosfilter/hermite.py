@@ -38,7 +38,7 @@ class SpatialBasis:
 
 
 def encode_header(fields: dict) -> str:
-    """Table/system file header: 'version=1', then one 'key=value' line per field."""
+    """Table file header: 'version=1', then one 'key=value' line per field."""
     return "".join(f"{key}={val}\n" for key, val in {"version": 1, **fields}.items())
 
 
@@ -60,7 +60,7 @@ _EXPECTED = {int: "an integer", float: "a float", _gammas: "comma-separated inte
              _lambdas: "floats"}
 
 
-def decode_header(path, lines, what: str, d_key: str, fields: dict):
+def decode_header(path, lines, fields: dict):
     """Inverse of encode_header: ({key: value} for `fields`, the basis they describe).
 
     `fields` maps each key past the basis to int, float or the tuple of the
@@ -70,11 +70,11 @@ def decode_header(path, lines, what: str, d_key: str, fields: dict):
     """
     header = dict(line.partition("=")[::2] for line in lines)
     if header.get("version") != "1":
-        raise ValueError(f"{path}: unsupported {what} version {header.get('version')!r}")
+        raise ValueError(f"{path}: unsupported table version {header.get('version')!r}")
 
     def field(key, cast):
         if key not in header:
-            raise ValueError(f"{path}: {what} header: missing '{key}=' line")
+            raise ValueError(f"{path}: table header: missing '{key}=' line")
         value = header[key]
         if isinstance(cast, tuple):
             if value in cast:
@@ -88,9 +88,9 @@ def decode_header(path, lines, what: str, d_key: str, fields: dict):
                 expected = "a nonnegative integer"
             except ValueError:
                 expected = _EXPECTED[cast]
-        raise ValueError(f"{path}: {what} header: {key} is not {expected}: {value!r}")
+        raise ValueError(f"{path}: table header: {key} is not {expected}: {value!r}")
 
-    basis = SpatialBasis(d=field(d_key, int), K=field("K", int),
+    basis = SpatialBasis(d=field("basis_d", int), K=field("K", int),
                          gammas=field("basis_gammas", _gammas),
                          lambdas=field("basis_lambdas", _lambdas))
     return {key: field(key, cast) for key, cast in fields.items()}, basis
@@ -120,24 +120,6 @@ def first_non_float(tokens):
         except ValueError:
             return j, tok
     return None
-
-
-def row_floats(line: str, width: int) -> list[float]:
-    """float() of each whitespace-separated token of a matrix row of `width` values.
-
-    A ValueError says what is wrong: the first token that is not a
-    float, or the count of values found.
-    """
-    tokens = line.split()
-    try:
-        row = [float(t) for t in tokens]
-    except ValueError:
-        row = None
-    if row is None or len(row) != width:
-        bad = first_non_float(tokens)
-        raise ValueError(f"expected a float as value {bad[0] + 1}, found {bad[1]!r}"
-                         if bad is not None else f"expected {width} values, found {len(tokens)}")
-    return row
 
 
 def decode_rows(lines, width: int):

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .galerkin import GalerkinSystem
-from .hermite import SpatialBasis, basis_fields, decode_header, encode_header, row_floats
+from .hermite import SpatialBasis, basis_fields, decode_header, encode_header
 from .multiindex import (MultiIndex, enumerate_truncated, factorial, from_line, lower, slot_counts,
                          to_line)
 
@@ -455,23 +455,19 @@ def truncation_certificate(system: GalerkinSystem, table: PropagatorTable) -> fl
 # table files
 
 
-def save_table(path, table: PropagatorTable, binary: bool = False) -> None:
-    """Write a table file; text uses 17 significant digits, binary raw LE floats."""
+def save_table(path, table: PropagatorTable) -> None:
+    """Write a table file: the header, then per index its line and K*K raw LE floats."""
     b = table.basis
     header = encode_header({
-        "format": "binary" if binary else "text", "K": table.K, "r": table.r,
+        "format": "binary", "K": table.K, "r": table.r,
         "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
         "basis_d": b.d, **basis_fields(b), "indices": len(table.indices)})
     mats = np.ascontiguousarray(table.matrices, dtype="<f8")
-    block = ("%.17g " * (table.K - 1) + "%.17g\n") * table.K     # one matrix, row by row
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for alpha, mat in zip(table.indices, mats):
             fh.write((to_line(alpha) + "\n").encode("ascii"))
-            if binary:
-                fh.write(mat.tobytes(order="C"))
-            else:
-                fh.write((block % tuple(mat.ravel().tolist())).encode("ascii"))
+            fh.write(mat.tobytes(order="C"))
 
 
 def _line(fh):
@@ -503,59 +499,44 @@ def _index(path, header: dict, a: int, line: str | None):
 
 
 def _walk(path, fh, header: dict, K: int):
-    """(indices, mats) of every block, read one at a time (text: row by row).
+    """(indices, mats) of every block, read one at a time.
 
-    Raises a ValueError naming the file, the block and, in text, the row
-    of the first fault in file order.
+    The matrices are stacked once all are read, so a header that declares
+    more than the file holds costs no more memory than the file.  Raises a
+    ValueError naming the file and the block of the first fault in file
+    order.
     """
-    count, binary = header["indices"], header["format"] == "binary"
-    nbytes = K * K * 8
-    indices, mats = [], np.empty((count, K, K))
+    count, nbytes = header["indices"], K * K * 8
+    indices, mats = [], []
     for a in range(count):
         indices.append(_index(path, header, a, _line(fh)))
-        if binary:
-            raw = fh.read(nbytes)
-            if len(raw) < nbytes:
-                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                 f"{nbytes} bytes, found {len(raw)}")
-            mats[a] = np.frombuffer(raw, dtype="<f8").reshape(K, K)
-            continue
-        for i in range(K):
-            line = _line(fh)
-            if line is None:
-                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                 f"{K} rows, found {i}")
-            try:
-                mats[a, i] = row_floats(line, K)
-            except ValueError as exc:
-                raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: "
-                                 f"{exc}") from None
-    return indices, mats
+        raw = fh.read(nbytes)
+        if len(raw) < nbytes:
+            raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                             f"{nbytes} bytes, found {len(raw)}")
+        mats.append(np.frombuffer(raw, dtype="<f8"))
+    return indices, np.array(mats, dtype=float).reshape(count, K, K)
 
 
-def _reject_trailing(path, fh, header: dict, K: int) -> None:
+def _reject_trailing(path, fh, count: int) -> None:
     """Raise a ValueError if anything but whitespace follows the declared blocks.
 
-    fh stands right after the last block; the error names the line (text)
-    or byte offset (binary) where the extra content starts.
+    fh stands right after the last block; the error names the byte offset
+    where the extra content starts.
     """
     start, rest = fh.tell(), fh.read()
-    if not (tail := rest.lstrip()):
-        return
-    skipped, count = len(rest) - len(tail), header["indices"]
-    line = 12 + count * (1 + K) + rest.count(b"\n", 0, skipped) + 1
-    where = f"byte offset {start + skipped}" if header["format"] == "binary" else f"line {line}"
-    raise ValueError(f"{path}: {where}: unexpected content after the {count} declared "
-                     f"index blocks")
+    if tail := rest.lstrip():
+        raise ValueError(f"{path}: byte offset {start + len(rest) - len(tail)}: unexpected "
+                         f"content after the {count} declared index blocks")
 
 
 def load_table(path) -> PropagatorTable:
-    """Inverse of save_table; text rows are read one at a time by float().
+    """Inverse of save_table.
 
-    A truncated or malformed file raises a ValueError naming the file, the
-    header key or the index block and, in text files, the matrix row;
-    content other than whitespace after the declared blocks, the line
-    (text) or byte offset (binary) it starts at.
+    A truncated or malformed file, or one whose format is not binary,
+    raises a ValueError naming the file and the header key or the index
+    block; content other than whitespace after the declared blocks, the
+    byte offset it starts at.
     """
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
@@ -563,11 +544,11 @@ def load_table(path) -> PropagatorTable:
     if None in lines:
         raise ValueError(f"{path}: truncated header: expected 12 lines, "
                          f"found {lines.index(None)}")
-    header, basis = decode_header(path, lines, "table", "basis_d", {
-        "format": ("text", "binary"), "r": int, "delta": float, "N": int, "n": int,
+    header, basis = decode_header(path, lines, {
+        "format": ("binary",), "r": int, "delta": float, "N": int, "n": int,
         "substeps": int, "indices": int})
     indices, mats = _walk(path, fh, header, basis.K)
-    _reject_trailing(path, fh, header, basis.K)
+    _reject_trailing(path, fh, header["indices"])
     return PropagatorTable(K=basis.K, r=header["r"], delta=header["delta"], N=header["N"],
                            n=header["n"], substeps=header["substeps"], basis=basis,
                            indices=tuple(indices), matrices=mats)

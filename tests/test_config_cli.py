@@ -83,6 +83,7 @@ def test_parse_config_rejects_unknown_keys():
     ("foo.bar = abc", "foo.bar: unknown section 'foo'"),
     ("model.zeta = abc", "model.zeta: unknown key"),
     ("run.outdir = x", "run.outdir: unknown key"),
+    ("discretization.substeps = 64", "discretization.substeps: unknown key"),
 ])
 def test_parse_config_checks_the_key_before_the_value(line, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -166,6 +167,21 @@ def test_filter_empty_observations(tmp_path):
     assert (outdir / "estimates.csv").read_text() == "t,estimate,mass\n"
 
 
+def test_filter_checks_the_table_of_an_empty_replay(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    other = write_cfg(tmp_path, BASE.replace("discretization.K = 6", "discretization.K = 8"),
+                      name="other.cfg")
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", other, "--out", str(table)]) == 0
+    obs = tmp_path / "empty.txt"
+    obs.write_text("delta_obs=0.00625\nr=1\n")
+    capsys.readouterr()
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert "table has K=8 basis functions, config has discretization.K=6" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_filter_metadata_mismatch_is_validation_failure(tmp_path):
     cfg_path = write_cfg(tmp_path)
     other = write_cfg(tmp_path, BASE.replace("discretization.delta = 0.1",
@@ -210,26 +226,6 @@ def test_table_of_fewer_modes_than_the_config_filters(tmp_path):
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 0
 
 
-def test_precompute_writes_binary_unless_asked_for_text(tmp_path):
-    cfg_path = write_cfg(tmp_path)
-    binary, text = tmp_path / "table.tbl", tmp_path / "table.txt"
-    assert main(["precompute", "--config", cfg_path, "--out", str(binary)]) == 0
-    assert main(["precompute", "--config", cfg_path, "--out", str(text), "--text"]) == 0
-    assert b"\nformat=binary\n" in binary.read_bytes()
-    assert "\nformat=text\n" in text.read_text()
-    a, b = load_table(binary), load_table(text)
-    assert a.indices == b.indices
-    assert a.matrices.tobytes() == b.matrices.tobytes()
-    obs = tmp_path / "obs.txt"
-    t = np.linspace(0.0, 0.4, 65)
-    write_observations(obs, 0.00625, t, np.sin(7.0 * t)[:, None])
-    for table, run in ((binary, "run_b"), (text, "run_t")):
-        assert main(["filter", "--config", cfg_path, "--table", str(table),
-                     "--obs", str(obs), "--out", str(tmp_path / run)]) == 0
-    for name in ("estimates.csv", "states.csv"):
-        assert (tmp_path / "run_b" / name).read_bytes() == (tmp_path / "run_t" / name).read_bytes()
-
-
 def test_truncated_table_is_validation_failure(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
@@ -253,31 +249,35 @@ def test_ragged_replay_is_validation_failure(tmp_path, capsys):
     assert "obs.txt: line 5: expected 2 columns, found 1" in capsys.readouterr().err
 
 
-def test_malformed_table_row_is_validation_failure(tmp_path, capsys):
+def test_table_of_huge_declared_size_is_validation_failure(tmp_path, capsys):
+    # K=60000 and 100000 blocks: the file runs out in block 1, long before the memory would
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
-    assert main(["precompute", "--config", cfg_path, "--out", str(table), "--text"]) == 0
-    lines = table.read_text().splitlines(keepends=True)
-    lines[14] = lines[14].split(" ", 1)[1]          # drop a value of matrix 1, row 2
-    table.write_text("".join(lines))
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    data = table.read_bytes().replace(b"\nK=6\n", b"\nK=60000\n", 1)
+    table.write_bytes(data.replace(b"\nindices=3\n", b"\nindices=100000\n", 1))
     obs = tmp_path / "obs.txt"
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
+    capsys.readouterr()
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
-    assert "table.tbl: matrix 1 of 3, row 2: expected 6 values, found 5" in capsys.readouterr().err
+    found = len(data.split(b"\nindices=3\n", 1)[1]) - len(b"-\n")     # all after index line 1
+    assert (f"table.tbl: truncated matrix 1 of 100000: expected 28800000000 bytes, found {found}\n"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("old, new, message", [
     ("indices=", "indicez=", "table header: missing 'indices=' line"),
-    ("format=text", "format=foo", "table header: format is not 'text' or 'binary': 'foo'"),
+    ("format=binary", "format=foo", "table header: format is not 'binary': 'foo'"),
+    ("format=binary", "format=text", "table header: format is not 'binary': 'text'"),
     ("K=6", "K=abc", "table header: K is not an integer: 'abc'"),
     ("indices=3", "indices=-1", "table header: indices is not a nonnegative integer: '-1'"),
 ])
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
-    assert main(["precompute", "--config", cfg_path, "--out", str(table), "--text"]) == 0
-    table.write_text(table.read_text().replace(old, new, 1))
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    table.write_bytes(table.read_bytes().replace(old.encode(), new.encode(), 1))
     obs = tmp_path / "obs.txt"
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
     assert main(["filter", "--config", cfg_path, "--table", str(table),

@@ -6,8 +6,7 @@ from scipy.linalg import expm
 
 from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, apply_M,
                                   apply_generator, assemble, dissipativity_gap,
-                                  integrate_galerkin_sde,
-                                  integrate_galerkin_sde_paths, load_system, save_system,
+                                  integrate_galerkin_sde, integrate_galerkin_sde_paths,
                                   validate_model)
 from chaosfilter.experiments import galerkin_oracle_estimates
 from chaosfilter.hermite import basis_tables, build_basis
@@ -182,20 +181,6 @@ def test_integrate_rejects_channel_mismatch(ou_system_k4):
         integrate_galerkin_sde(ou_system_k4, np.zeros((10, 2)), 0.1, np.zeros(4))
 
 
-def test_system_serialization_round_trip(tmp_path, ou_system_k8):
-    from chaosfilter.galerkin import load_system, save_system
-
-    path = tmp_path / "system.txt"
-    save_system(path, ou_system_k8)
-    back = load_system(path)
-    assert back.K == ou_system_k8.K and back.r == ou_system_k8.r
-    assert np.array_equal(back.A, ou_system_k8.A)
-    assert np.array_equal(back.B, ou_system_k8.B)
-    assert back.basis.gammas == ou_system_k8.basis.gammas
-    save_system(tmp_path / "again.txt", back)
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
-
-
 def _euler_single_path_oracle(system, y_path, delta, p_init, report_stride=1):
     # The single-path loop integrate_galerkin_sde used before it became a
     # one-column call of the shared batched loop; kept as an oracle.
@@ -365,84 +350,3 @@ def test_one_point_field_of_per_point_shape_is_reshaped():
     assert np.array_equal(model.sigma_at(np.zeros((1, 2))), np.ones((1, 2, 1)))
     with pytest.raises(ValueError, match=r"field 'h' returned shape \(1,\), cannot coerce to \(1, 2\)"):
         model.h_at(np.zeros((1, 2)))
-
-
-def test_load_system_rejects_missing_rows(tmp_path, ou_system_k4):
-    path = tmp_path / "system.txt"
-    save_system(path, ou_system_k4)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-2]))
-    with pytest.raises(ValueError, match=r"system\.txt: truncated matrix B_1: expected 4 rows, found 2"):
-        load_system(path)
-
-
-def _edited_system(tmp_path, system, edit):
-    # edit(lines) changes the text lines of the saved system file in place;
-    # 6 header lines, then K rows of A and K rows per B_l
-    path = tmp_path / "system.txt"
-    save_system(path, system)
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("".join(line + "\n" for line in lines))
-    return path
-
-
-def test_load_system_rejects_content_after_the_last_matrix(tmp_path, ou_system_k4):
-    # 6 header lines and 2 matrices of 4 rows: line 15 is blank, line 16 is extra
-    path = _edited_system(tmp_path, ou_system_k4,
-                          lambda lines: lines.extend([" ", "this is not a row"]))
-    with pytest.raises(ValueError, match=r"system\.txt: line 16: unexpected content after "
-                                         r"matrix B_1"):
-        load_system(path)
-    # trailing whitespace alone still loads
-    path = _edited_system(tmp_path, ou_system_k4, lambda lines: lines.extend(["", " \t"]))
-    assert np.array_equal(load_system(path).B, ou_system_k4.B)
-
-
-def test_load_system_names_rows_all_too_short(tmp_path, ou_system_k4):
-    # every row one value short: the rows agree with each other, not with K
-    def edit(lines):
-        lines[6:] = [row.rsplit(" ", 1)[0] for row in lines[6:]]
-
-    path = _edited_system(tmp_path, ou_system_k4, edit)
-    with pytest.raises(ValueError, match=r"system\.txt: matrix A, row 1: expected 4 values, found 3"):
-        load_system(path)
-
-
-@pytest.mark.parametrize("change, found", [(lambda row: row.rsplit(" ", 1)[0], 3),
-                                           (lambda row: "", 0)])
-def test_load_system_names_short_or_blank_row(tmp_path, ou_system_k4, change, found):
-    def edit(lines):
-        lines[6 + 4 + 1] = change(lines[6 + 4 + 1])      # B_1, row 2
-
-    path = _edited_system(tmp_path, ou_system_k4, edit)
-    with pytest.raises(ValueError, match=rf"system\.txt: matrix B_1, row 2: expected 4 values, "
-                                         rf"found {found}"):
-        load_system(path)
-
-
-def test_load_system_names_non_float_token(tmp_path, ou_system_k4):
-    def edit(lines):
-        lines[6 + 2] = lines[6 + 2].replace(" ", " 1.5x ", 1).rsplit(" ", 1)[0]   # A, row 3
-
-    path = _edited_system(tmp_path, ou_system_k4, edit)
-    with pytest.raises(ValueError, match=r"system\.txt: matrix A, row 3: expected a float as "
-                                         r"value 2, found '1\.5x'"):
-        load_system(path)
-
-
-def test_load_system_names_missing_header_key(tmp_path, ou_system_k4):
-    path = _edited_system(tmp_path, ou_system_k4, lambda lines: lines.__delitem__(slice(4, None)))
-    with pytest.raises(ValueError, match=r"system\.txt: system file header: missing "
-                                         r"'basis_gammas=' line"):
-        load_system(path)
-
-
-def test_load_system_names_line_of_byte_that_is_not_utf8(tmp_path, ou_system_k4):
-    path = tmp_path / "system.txt"
-    save_system(path, ou_system_k4)
-    lines = path.read_bytes().split(b"\n")
-    lines[6 + 4 + 1] = lines[6 + 4 + 1][:5] + b"\x80" + lines[6 + 4 + 1][5:]    # B_1, row 2
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ValueError, match=r"system\.txt: line 12: byte 0x80 is not utf-8"):
-        load_system(path)

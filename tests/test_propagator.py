@@ -10,11 +10,11 @@ from scipy.linalg import eigh, expm
 from chaosfilter import experiments, propagator
 from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
-from chaosfilter.hermite import basis_fields, build_basis, encode_header, project
+from chaosfilter.hermite import build_basis, project
 from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
-from chaosfilter.propagator import (PropagatorTable, brownian_second_moment, closed_form_order1,
-                                    cosine_basis, coupling_groups, default_substeps, load_table,
-                                    parseval_mass, precompute_table, rk4, save_table, solve_phi,
+from chaosfilter.propagator import (brownian_second_moment, closed_form_order1, cosine_basis,
+                                    coupling_groups, default_substeps, load_table, parseval_mass,
+                                    precompute_table, rk4, save_table, solve_phi,
                                     truncation_certificate)
 from chaosfilter.runtime import ObservationWindow, step_matrix, xi_integrals
 
@@ -294,12 +294,11 @@ def test_truncation_certificate_rejects_table_of_other_system(ou_system_k4, ou_s
         truncation_certificate(ou_system_k4, table)
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_table_round_trip(tmp_path, ou_system_k8, binary):
+def test_table_round_trip(tmp_path, ou_system_k8):
     tb = cosine_basis(0.25, 3)
     table = precompute_table(ou_system_k8, tb, 2, 3, substeps=64)
-    path = tmp_path / ("t.bin" if binary else "t.txt")
-    save_table(path, table, binary=binary)
+    path = tmp_path / "t.bin"
+    save_table(path, table)
     back = load_table(path)
     assert back.K == table.K and back.r == table.r
     assert back.delta == table.delta and back.N == table.N and back.n == table.n
@@ -313,7 +312,7 @@ def test_table_round_trip(tmp_path, ou_system_k8, binary):
 def test_table_files_byte_identical_on_rewrite(tmp_path, ou_system_k8):
     tb = cosine_basis(0.25, 2)
     table = precompute_table(ou_system_k8, tb, 1, 2)
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     save_table(p1, table)
     save_table(p2, table)
     assert p1.read_bytes() == p2.read_bytes()
@@ -348,117 +347,61 @@ def test_brownian_second_moment_reports_blowup():
         brownian_second_moment(scalar_system(a=1e200), 1.0, np.array([1.0]), substeps=4)
 
 
-def _truncated_table(tmp_path, ou_system_k4, binary, cut):
-    path = tmp_path / ("t.bin" if binary else "t.txt")
-    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64),
-               binary=binary)
+def _truncated_table(tmp_path, ou_system_k4, cut):
+    # 3 index blocks of a K=4 table, 128 bytes of matrix each, cut to cut(bytes) bytes
+    path = tmp_path / "t.bin"
+    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64))
     path.write_bytes(path.read_bytes()[:cut(path.read_bytes())])
     return path
 
 
 def test_load_table_rejects_truncated_binary_matrix(tmp_path, ou_system_k4):
-    path = _truncated_table(tmp_path, ou_system_k4, True, lambda buf: len(buf) - 40)
+    path = _truncated_table(tmp_path, ou_system_k4, lambda buf: len(buf) - 40)
     with pytest.raises(ValueError, match=r"t\.bin: truncated matrix 3 of 3: expected 128 bytes, found 88"):
         load_table(path)
 
 
 def test_load_table_rejects_truncated_binary_index_line(tmp_path, ou_system_k4):
     # cut inside the third index line, right after the second matrix
-    path = _truncated_table(tmp_path, ou_system_k4, True, lambda buf: len(buf) - 128 - 2)
+    path = _truncated_table(tmp_path, ou_system_k4, lambda buf: len(buf) - 128 - 2)
     with pytest.raises(ValueError, match=r"truncated at index line 3: expected 3 index blocks, found 2"):
         load_table(path)
 
 
-def test_load_table_rejects_truncated_text_matrix(tmp_path, ou_system_k4):
-    # keep the final matrix's first two rows and a few bytes of its third
-    def cut(buf):
-        rows = buf.splitlines(keepends=True)
-        return len(buf) - len(rows[-1]) - len(rows[-2]) + 5
-
-    path = _truncated_table(tmp_path, ou_system_k4, False, cut)
-    with pytest.raises(ValueError, match=r"t\.txt: truncated matrix 3 of 3: expected 4 rows, found 2"):
-        load_table(path)
-
-
-def test_load_table_rejects_text_table_without_final_newline(tmp_path, ou_system_k4):
-    # the last row is whole but unterminated: a row without a newline is not read
-    path = _truncated_table(tmp_path, ou_system_k4, False, lambda buf: len(buf) - 1)
-    with pytest.raises(ValueError, match=r"t\.txt: truncated matrix 3 of 3: expected 4 rows, found 3"):
-        load_table(path)
-
-
-def _edited_text_table(tmp_path, ou_system_k4, edit):
-    # 3 index blocks of a K=4 table; edit(lines) changes the text lines in place
-    path = tmp_path / "t.txt"
-    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64))
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
+def _with_index_line(tmp_path, ou_system_k4, line):
+    # the table of _truncated_table with its third index line replaced by `line`
+    path = _truncated_table(tmp_path, ou_system_k4, len)
+    data = path.read_bytes()
+    third = (to_line(load_table(path).indices[2]) + "\n").encode("ascii")
+    end = len(data) - 128
+    assert data[end - len(third):end] == third
+    path.write_bytes(data[:end - len(third)] + (line + "\n").encode("ascii") + data[end:])
     return path
 
 
-def _row(block, i):
-    # line of row i (1-based) of matrix `block` (1-based): 12 header lines, then
-    # one index line and 4 rows per block
-    return 12 + (block - 1) * 5 + i
-
-
-@pytest.mark.parametrize("change, message", [
-    (lambda row: row.rsplit(" ", 1)[0], "expected 4 values, found 3"),
-    (lambda row: row + " 0.5", "expected 4 values, found 5"),
-    (lambda row: "", "expected 4 values, found 0"),
-    (lambda row: row.split()[0], "expected 4 values, found 1"),
-    (lambda row: row.replace(" ", " 1.5x ", 1).rsplit(" ", 1)[0],
-     "expected a float as value 2, found '1.5x'"),
-])
-def test_load_table_names_malformed_text_row(tmp_path, ou_system_k4, change, message):
-    def edit(lines):
-        lines[_row(2, 3)] = change(lines[_row(2, 3)])
-
-    path = _edited_text_table(tmp_path, ou_system_k4, edit)
-    with pytest.raises(ValueError, match=re.escape(f"t.txt: matrix 2 of 3, row 3: {message}")):
-        load_table(path)
-
-
-@pytest.mark.parametrize("binary", [False, True])
-def test_load_table_rejects_content_after_the_declared_blocks(tmp_path, ou_system_k4, binary):
-    path = _truncated_table(tmp_path, ou_system_k4, binary, len)
+def test_load_table_rejects_content_after_the_declared_blocks(tmp_path, ou_system_k4):
+    path = _truncated_table(tmp_path, ou_system_k4, len)
     data, table = path.read_bytes(), load_table(path)
     # trailing whitespace alone still loads
     path.write_bytes(data + b"\n \t\n")
     assert load_table(path).matrices.tobytes() == table.matrices.tobytes()
     path.write_bytes(data + b"\n 1:1:1\n")
-    # text: 12 header lines and 3 blocks of 1 + 4 lines, a blank line 28, then line 29
-    where = f"byte offset {len(data) + 2}" if binary else "line 29"
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: {where}: unexpected content after the 3 declared index blocks")):
-        load_table(path)
-
-
-def test_load_table_names_non_ascii_text_row(tmp_path, ou_system_k4):
-    # a byte outside ASCII inside a row is a bad value, not a truncation
-    path = _edited_text_table(tmp_path, ou_system_k4, lambda lines: None)
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines[_row(1, 2)] = lines[_row(1, 2)].replace(b" ", b" \xc2\xb5", 1)
-    path.write_bytes(b"".join(lines))
-    with pytest.raises(ValueError,
-                       match=r"t\.txt: matrix 1 of 3, row 2: expected a float as value 2"):
+            f"{path}: byte offset {len(data) + 2}: unexpected content after the 3 declared "
+            f"index blocks")):
         load_table(path)
 
 
 def test_load_table_rejects_truncated_header(tmp_path, ou_system_k4):
-    path = _truncated_table(tmp_path, ou_system_k4, False, lambda buf: buf.index(b"basis_d"))
-    with pytest.raises(ValueError, match=r"t\.txt: truncated header: expected 12 lines, found 8"):
+    path = _truncated_table(tmp_path, ou_system_k4, lambda buf: buf.index(b"basis_d"))
+    with pytest.raises(ValueError, match=r"t\.bin: truncated header: expected 12 lines, found 8"):
         load_table(path)
 
 
 @pytest.mark.parametrize("line", ["", "1:1", "1:x:1", "1:1:0", "1:1:1 1:1:2", "1:3:1"])
 def test_load_table_names_bad_index_line(tmp_path, ou_system_k4, line):
-    def edit(lines):
-        lines[_row(3, 0)] = line
-
-    path = _edited_text_table(tmp_path, ou_system_k4, edit)
-    with pytest.raises(ValueError, match=re.escape(f"t.txt: index line 3 of 3: expected "
+    path = _with_index_line(tmp_path, ou_system_k4, line)
+    with pytest.raises(ValueError, match=re.escape(f"t.bin: index line 3 of 3: expected "
                                                    f"'k:l:count' triples or '-', found {line!r}")):
         load_table(path)
 
@@ -467,66 +410,10 @@ def test_load_table_names_bad_index_line(tmp_path, ou_system_k4, line):
                                                  ("3:1:1", 1, 3)])
 def test_load_table_names_index_outside_truncation(tmp_path, ou_system_k4, line, length, order):
     # the table has N = 1, n = 2: an index past either bound has no slot in the runtime's pick
-    def edit(lines):
-        lines[_row(3, 0)] = line
-
-    path = _edited_text_table(tmp_path, ou_system_k4, edit)
+    path = _with_index_line(tmp_path, ou_system_k4, line)
     with pytest.raises(ValueError, match=re.escape(
-            f"t.txt: index line 3 of 3: {line!r} has |alpha| = {length} and d(alpha) = {order}, "
+            f"t.bin: index line 3 of 3: {line!r} has |alpha| = {length} and d(alpha) = {order}, "
             f"expected at most N = 1 and n = 2")):
-        load_table(path)
-
-
-def _long_text_table(tmp_path, edit):
-    # 21 index blocks (N = 2, n = 5, r = 1) of K = 3; edit(lines) changes the
-    # text lines in place
-    indices = tuple(enumerate_truncated(2, 5, 1))
-    mats = np.random.default_rng(8).normal(size=(len(indices), 3, 3))
-    table = PropagatorTable(K=3, r=1, delta=0.25, N=2, n=5, substeps=8,
-                            basis=build_basis(1, 3), indices=indices, matrices=mats)
-    path = tmp_path / "t.txt"
-    save_table(path, table)
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("".join(line + "\n" for line in lines))
-    return path, table
-
-
-def _long_row(block, i):
-    # line of row i (1-based) of matrix `block` (1-based) of _long_text_table
-    return 12 + (block - 1) * 4 + i
-
-
-def test_load_table_reads_float_only_values_in_a_later_group(tmp_path):
-    # '1_0' is a float to float() but not to np.loadtxt: the row-by-row read takes it
-    def edit(lines):
-        lines[_long_row(18, 2)] = "1_0 " + lines[_long_row(18, 2)].split(" ", 1)[1]
-
-    path, table = _long_text_table(tmp_path, edit)
-    back = load_table(path)
-    expected = table.matrices.copy()
-    expected[17, 1, 0] = 10.0
-    assert back.indices == table.indices
-    assert back.matrices.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("block", [1, 16, 17, 21])
-def test_load_table_names_blank_row_in_any_group(tmp_path, block):
-    path, _ = _long_text_table(tmp_path, lambda lines: lines.__setitem__(_long_row(block, 3), ""))
-    with pytest.raises(ValueError, match=re.escape(f"t.txt: matrix {block} of 21, row 3: "
-                                                   f"expected 3 values, found 0")):
-        load_table(path)
-
-
-def test_load_table_names_first_fault_of_a_group_in_file_order(tmp_path):
-    # a bad row of block 18 comes before a bad index line of block 20
-    def edit(lines):
-        lines[_long_row(18, 1)] += " 0.5"
-        lines[_long_row(20, 0)] = "x"
-
-    path, _ = _long_text_table(tmp_path, edit)
-    with pytest.raises(ValueError, match=re.escape("t.txt: matrix 18 of 21, row 1: "
-                                                   "expected 3 values, found 4")):
         load_table(path)
 
 
@@ -669,40 +556,14 @@ def test_solve_phi_rejects_zeta_of_wrong_length(ou_system_k4):
         solve_phi(ou_system_k4, cosine_basis(0.2, 2), alpha, np.ones(3))
 
 
-def per_value_save_table(path, table):
-    # The text writer before it formatted whole matrices from one template.
-    b = table.basis
-    header = encode_header({
-        "format": "text", "K": table.K, "r": table.r,
-        "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
-        "basis_d": b.d, **basis_fields(b), "indices": len(table.indices)})
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for alpha, mat in zip(table.indices, np.ascontiguousarray(table.matrices, dtype="<f8")):
-            fh.write((to_line(alpha) + "\n").encode("ascii"))
-            for row in mat:
-                fh.write((" ".join(f"{v:.17g}" for v in row) + "\n").encode("ascii"))
-
-
-def test_text_table_bytes_equal_per_value_writer(tmp_path, ou_system_k4):
-    table = precompute_table(ou_system_k4, cosine_basis(0.25, 2), 2, 2)
-    mats = table.matrices.copy()
-    mats[1, 0, :] = [-0.0, 1e-300, 1e300, 5e-324]
-    mats[2, 1, :] = [0.1, -1.0 / 3.0, 2.0 ** 60, -7.0]
-    table = dataclasses.replace(table, matrices=mats)
-    save_table(tmp_path / "new.txt", table)
-    per_value_save_table(tmp_path / "old.txt", table)
-    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
-
-
 @pytest.mark.parametrize("key, value", [("indices", "-1"), ("K", "-4"), ("r", "-1"), ("N", "-2"),
                                         ("n", "-2"), ("substeps", "-64")])
 def test_load_table_names_negative_header_count(tmp_path, ou_system_k4, key, value):
-    path = tmp_path / "t.txt"
-    save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2))
-    path.write_text(re.sub(rf"(?m)^{key}=.*$", f"{key}={value}", path.read_text(), count=1))
+    path = _truncated_table(tmp_path, ou_system_k4, len)
+    path.write_bytes(re.sub(rf"(?m)^{key}=.*$".encode("ascii"), f"{key}={value}".encode("ascii"),
+                            path.read_bytes(), count=1))
     with pytest.raises(ValueError, match=re.escape(
-            f"t.txt: table header: {key} is not a nonnegative integer: '{value}'")):
+            f"t.bin: table header: {key} is not a nonnegative integer: '{value}'")):
         load_table(path)
 
 

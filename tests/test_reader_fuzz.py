@@ -1,23 +1,23 @@
-"""Fuzzing of the table, replay and system-file readers against their row-by-row forms.
+"""Fuzzing of the table and replay readers against their row-by-row forms.
 
 The oracles below are the readers as they were before the bulk decoders:
-every value parsed by float() one row at a time.  A valid file gets one
-random corruption (a token dropped, duplicated or garbled, a blank line,
-a vertical tab or a non-ASCII byte inserted, or a cut at a random byte),
-then both readers read it:
+every replay value parsed by float() one row at a time, every table
+matrix read one block at a time.  A valid file gets one random corruption
+(a token dropped, duplicated or garbled, a blank line, a vertical tab or a
+non-ASCII byte inserted, or a cut at a random byte), then both readers
+read it:
 
 - where the oracle accepts, the new reader returns the same values, bit
   for bit;
 - where the oracle raises, the new reader raises a ValueError with the
   same message, or, where the oracle's error did not name the file (a
-  KeyError or a bare int(), float() or numpy error from a header or a
-  system file), one that does.
+  KeyError or a bare int(), float() or numpy error from a header), one
+  that does.
 
-Four kinds of file the oracles accept are now rejected on purpose, with a
-named ValueError: a table whose `format=` is neither text nor binary, a
-table whose header holds a negative count, a system file whose rows do
-not hold K values each, and a table or system file with content other
-than whitespace after its declared blocks (which the oracles ignore).
+Three kinds of table the oracle accepts are now rejected on purpose, with
+a named ValueError: one whose `format=` is not binary, one whose header
+holds a negative count, and one with content other than whitespace after
+its declared blocks (which the oracle ignores).
 """
 
 import re
@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chaosfilter.galerkin import GalerkinSystem, load_system, save_system
 from chaosfilter.hermite import SpatialBasis, build_basis, first_non_float
 from chaosfilter.multiindex import enumerate_truncated, from_line
 from chaosfilter.propagator import PropagatorTable, load_table, save_table
@@ -74,7 +73,6 @@ def _table_oracle(path):
             raise ValueError(f"{path}: truncated header: expected 12 lines, found {i}")
         lines.append(line)
     header, basis = _decode_header_oracle(lines, "table", "basis_d")
-    binary = header["format"] == "binary"
     K, r, N, n = basis.K, int(header["r"]), int(header["N"]), int(header["n"])
     count = int(header["indices"])
     nbytes = K * K * 8
@@ -95,29 +93,11 @@ def _table_oracle(path):
                              f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
                              f"expected at most N = {N} and n = {n}")
         indices.append(alpha)
-        if binary:
-            if len(buf) - cursor < nbytes:
-                raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                 f"{nbytes} bytes, found {len(buf) - cursor}")
-            mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K, offset=cursor).reshape(K, K)
-            cursor += nbytes
-        else:
-            for i in range(K):
-                line, cursor = _read_line_oracle(buf, cursor)
-                if line is None:
-                    raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                                     f"{K} rows, found {i}")
-                tokens = line.split()
-                try:
-                    row = [float(t) for t in tokens]
-                except ValueError:
-                    row = None
-                if row is None or len(row) != K:
-                    bad = first_non_float(tokens)
-                    fault = (f"expected a float as value {bad[0] + 1}, found {bad[1]!r}"
-                             if bad is not None else f"expected {K} values, found {len(tokens)}")
-                    raise ValueError(f"{path}: matrix {a + 1} of {count}, row {i + 1}: {fault}")
-                mats[a, i] = row
+        if len(buf) - cursor < nbytes:
+            raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
+                             f"{nbytes} bytes, found {len(buf) - cursor}")
+        mats[a] = np.frombuffer(buf, dtype="<f8", count=K * K, offset=cursor).reshape(K, K)
+        cursor += nbytes
     return PropagatorTable(K=K, r=r, delta=float(header["delta"]), N=int(header["N"]),
                            n=int(header["n"]), substeps=int(header["substeps"]),
                            basis=basis, indices=tuple(indices), matrices=mats), buf[cursor:]
@@ -167,23 +147,6 @@ def read_observations_oracle(path):
     else:
         times, values = np.empty(0), np.empty((0, r))
     return delta_obs, r, times, values
-
-
-def load_system_oracle(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    header, basis = _decode_header_oracle(lines[:6], "system file", "d")
-    K, r = basis.K, int(header["r"])
-    body = lines[6:]
-    if len(body) < (1 + r) * K:
-        block = len(body) // K
-        raise ValueError(f"{path}: truncated matrix {'A' if block == 0 else f'B_{block}'}: "
-                         f"expected {K} rows, found {len(body) - block * K}")
-    mats = []
-    for block in range(1 + r):
-        rows = body[block * K:(block + 1) * K]
-        mats.append(np.array([[float(t) for t in row.split()] for row in rows]))
-    return GalerkinSystem(K=K, r=r, A=mats[0], B=np.array(mats[1:]), basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +218,7 @@ def table_files(draw):
     mats = draw(hnp.arrays(np.float64, (len(indices), K, K), elements=finite))
     return PropagatorTable(K=K, r=r, delta=draw(st.floats(1e-6, 10.0)), N=N, n=n,
                            substeps=draw(st.integers(1, 512)), basis=build_basis(1, K),
-                           indices=indices, matrices=mats), draw(st.booleans())
+                           indices=indices, matrices=mats)
 
 
 def _same_table(a, b):
@@ -274,19 +237,18 @@ def _negative(value: bytes) -> bool:
 
 
 def _bad_format(path, table):
-    # the oracle read any format= value but 'binary' as text, and took negative counts
+    # the oracle read any format= value as binary, and took negative counts
     header = dict(line.partition(b"=")[::2] for line in path.read_bytes().split(b"\n")[:12])
-    return (header.get(b"format", b"text") not in (b"text", b"binary")
+    return (header.get(b"format") != b"binary"
             or any(_negative(header.get(key, b"0"))
                    for key in (b"K", b"r", b"N", b"n", b"substeps", b"indices", b"basis_d")))
 
 
 @FUZZ
-@given(data=st.data(), case=table_files())
-def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, case):
-    table, binary = case
+@given(data=st.data(), table=table_files())
+def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, table):
     path = tmp_path_factory.mktemp("tbl") / "t.tbl"
-    save_table(path, table, binary=binary)
+    save_table(path, table)
     path.write_bytes(data.draw(corrupted(path.read_bytes())))
     def rejected_on_purpose(path, table):
         return (_bad_format(path, table)
@@ -309,30 +271,3 @@ def test_replay_reader_matches_row_by_row_oracle(tmp_path_factory, data, r, rows
                 and a[3].shape == b[3].shape and a[3].tobytes() == b[3].tobytes())
 
     _same_outcome(path, read_observations_oracle, read_observations, same, lambda *_: False)
-
-
-@FUZZ
-@given(data=st.data(), K=st.integers(1, 3), r=st.integers(1, 2))
-def test_system_reader_matches_row_by_row_oracle(tmp_path_factory, data, K, r):
-    path = tmp_path_factory.mktemp("sys") / "system.txt"
-    save_system(path, GalerkinSystem(
-        K=K, r=r, A=data.draw(hnp.arrays(np.float64, (K, K), elements=finite)),
-        B=data.draw(hnp.arrays(np.float64, (r, K, K), elements=finite)),
-        basis=build_basis(1, K)))
-    path.write_bytes(data.draw(corrupted(path.read_bytes())))
-
-    def same(a, b):
-        return ((a.K, a.r, a.basis.gammas) == (b.K, b.r, b.basis.gammas)
-                and a.A.tobytes() == b.A.tobytes() and a.B.tobytes() == b.B.tobytes())
-
-    def rejected_on_purpose(path, system):
-        if system is None:
-            return False
-        # rows of another width: the oracle took them as they came
-        wrong_shape = (system.A.shape != (system.K,) * 2
-                       or system.B.shape != (system.r,) + (system.K,) * 2)
-        with open(path) as fh:       # the oracle reads the lines after the last matrix
-            trailing = any(ln.strip() for ln in list(fh)[6 + (1 + system.r) * system.K:])
-        return wrong_shape or trailing
-
-    _same_outcome(path, load_system_oracle, load_system, same, rejected_on_purpose)
