@@ -8,13 +8,13 @@ product per step.
 """
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .galerkin import (FilterModel, GalerkinSystem, apply_M, apply_generator, assemble,
-                       dissipativity_gap, integrate_galerkin_sde, integrate_galerkin_sde_paths)
+from .galerkin import (FilterModel, GalerkinSystem, assemble, dissipativity_gap,
+                       integrate_galerkin_sde_paths)
 from .hermite import (QuadratureGrid, SpatialBasis, build_basis, eval_basis, gauss_hermite_grid,
                       gram_matrix, lambda_power_norm, project)
 from .models import ModelBundle, build_model, correlated_ou, cubic_sensor, ou_linear
 from .multiindex import (CharacteristicSet, MultiIndex, characteristic_set, empty_index,
-                         enumerate_truncated, factorial, hermite_poly, lower, xi_eval)
+                         enumerate_truncated, factorial, lower)
 from .propagator import (PropagatorTable, TemporalBasis, brownian_second_moment,
                          closed_form_order1, cosine_basis, load_table, parseval_mass,
                          precompute_table, save_table, solve_phi, truncation_certificate)

@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .experiments import build_pipeline, check_consistency, make_table, run_sweep, simulate_full
 from .hermite import write_rows
-from .propagator import load_table, save_table, truncation_certificate
+from .propagator import cosine_basis, load_table, save_table, truncation_certificate
 from .reference import compare_on_path, kalman_bucy
 from .runtime import (FilterRun, cut_windows, read_observations, run_filter, write_estimate_csv,
                       write_observations, write_state_csv)
@@ -47,6 +47,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed_override is not None:
         cfg.seed = args.seed_override
+        cfg.validate()
     pipe = build_pipeline(cfg)
     times, X, Y = simulate_full(cfg, pipe, cfg.paths)
     stride = int(round(cfg.resolved_delta_obs() / cfg.resolved_delta_sim()))
@@ -70,14 +71,15 @@ def _cmd_filter(args) -> int:
     est_csv = os.path.join(args.out, "estimates.csv")
     if times.size == 0:
         empty = FilterRun(times=np.empty(0), states=np.empty((0, table.K)), masses=np.empty(0),
-                          estimates=None)
+                          estimates=np.empty(0))
         write_state_csv(state_csv, empty)
         write_estimate_csv(est_csv, empty)
         print("no samples; wrote header-only CSVs")
         return 0
     pipe = build_pipeline(cfg)
     windows = _parse(args.obs, cut_windows, times, values, cfg.delta)
-    run = run_filter(table, pipe.tbasis, pipe.p_init, windows,
+    # a table of fewer modes than the config is sampled by its own n (check_consistency)
+    run = run_filter(table, cosine_basis(cfg.delta, table.n), pipe.p_init, windows,
                      f_coeffs=pipe.f_coeffs, one_coeffs=pipe.one_coeffs)
     write_state_csv(state_csv, run)
     write_estimate_csv(est_csv, run)

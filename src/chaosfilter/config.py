@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .models import MODEL_NAMES
-from .propagator import default_substeps
+from .propagator import default_substeps, max_sample_spacing
 
 
 class ConfigError(ValueError):
@@ -42,7 +42,7 @@ class ExperimentConfig:
     paths: int = 1
 
     def resolved_delta_obs(self) -> float:
-        return self.delta / (8 * self.n) if self.delta_obs is None else self.delta_obs
+        return max_sample_spacing(self.delta, self.n) if self.delta_obs is None else self.delta_obs
 
     def resolved_delta_sim(self) -> float:
         return self.resolved_delta_obs() / 4 if self.delta_sim is None else self.delta_sim
@@ -66,11 +66,10 @@ class ExperimentConfig:
         nwin = self.T / self.delta
         if abs(nwin - round(nwin)) > 1e-9:
             raise ConfigError("discretization.T: must be an integer multiple of delta")
-        dobs = self.resolved_delta_obs()
-        if dobs > self.delta / (8 * self.n) * (1 + 1e-9):
-            raise ConfigError(
-                f"discretization.delta_obs: must be <= delta/(8 n) = {self.delta / (8 * self.n):.3g}"
-                " to resolve the fastest cosine mode")
+        dobs, max_dobs = self.resolved_delta_obs(), max_sample_spacing(self.delta, self.n)
+        if dobs > max_dobs * (1 + 1e-9):
+            raise ConfigError(f"discretization.delta_obs: must be <= delta/(8 n) = {max_dobs:.3g}"
+                              " to resolve the fastest cosine mode")
         per = self.delta / dobs
         if abs(per - round(per)) > 1e-9:
             raise ConfigError("discretization.delta_obs: must divide delta evenly")
@@ -82,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError("discretization.delta_sim: must divide delta_obs evenly")
         if not 1 <= self.quad_m <= 150:
             raise ConfigError(f"discretization.quad_m: must be in 1..150, got {self.quad_m}")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed: must be >= 0, got {self.seed}")
         if self.paths < 1:
             raise ConfigError(f"run.paths: must be >= 1, got {self.paths}")
         return self

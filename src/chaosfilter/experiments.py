@@ -15,8 +15,8 @@ from .config import ConfigError, ExperimentConfig
 from .galerkin import GalerkinSystem, _euler_reports, assemble
 from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project_many
 from .models import ModelBundle, build_model
-from .propagator import (PropagatorTable, TemporalBasis, cosine_basis, precompute_table,
-                         truncation_certificate)
+from .propagator import (PropagatorTable, TemporalBasis, cosine_basis, max_sample_spacing,
+                         precompute_table, truncation_certificate)
 from .reference import kalman_bucy
 from .runtime import _recursion, _samples_per_window, _xi_weights
 from .simulate import SimulationConfig, simulate_paths
@@ -81,33 +81,32 @@ def check_consistency(cfg: ExperimentConfig, table: PropagatorTable,
         raise ConfigError(f"table delta {table.delta} does not match config delta {cfg.delta}")
     if table.r != r:
         raise ConfigError(f"table has r={table.r} channels, observations have r={r}")
-    if delta_obs > cfg.delta / (8 * table.n) * (1 + 1e-9):
-        raise ConfigError(
-            f"observation spacing {delta_obs:.3g} too coarse for n={table.n}: "
-            f"need <= {cfg.delta / (8 * table.n):.3g}")
+    max_dobs = max_sample_spacing(cfg.delta, table.n)
+    if delta_obs > max_dobs * (1 + 1e-9):
+        raise ConfigError(f"observation spacing {delta_obs:.3g} too coarse for n={table.n}: "
+                          f"need <= {max_dobs:.3g}")
 
 
 def simulate_full(cfg: ExperimentConfig, pipe: Pipeline, npaths: int, seed=None):
     """Simulate npaths at full resolution delta_sim; returns (times, X, Y)."""
     sim = SimulationConfig(model=pipe.bundle.filter_model, T=cfg.T,
                            delta_sim=cfg.resolved_delta_sim(),
-                           seed=cfg.seed if seed is None else seed,
-                           delta_obs=cfg.resolved_delta_sim())
+                           seed=cfg.seed if seed is None else seed)
     return simulate_paths(sim, npaths)
 
 
 def chaos_estimates(pipe: Pipeline, table: PropagatorTable, times, Y, stride: int):
     """Run the recursion on all paths together; returns (window times, estimates (npaths, M+1)).
 
-    The xi integrals of every window of every path come from one stacked
-    product of the trapezoid weights with the (P, M, npts, r) window
-    samples; the paths then advance together through the same window loop
-    as run_filter, and each row equals that path's run_filter estimates.
+    Y is (P, samples, r), as simulate_full returns it.  The xi integrals
+    of every window of every path come from one stacked product of the
+    trapezoid weights with the (P, M, npts, r) window samples; the paths
+    then advance together through the same window loop as run_filter,
+    and each row equals that path's run_filter estimates.
     """
     cfg = pipe.cfg
     sub_t = np.asarray(times, dtype=float)[::stride]
-    Y = np.asarray(Y, dtype=float)
-    Y = (Y if Y.ndim == 3 else Y[:, :, None])[:, ::stride]
+    Y = np.asarray(Y, dtype=float)[:, ::stride]
     per = _samples_per_window(sub_t, cfg.delta)
     starts = np.arange(0, sub_t.size - 1, per)
     weights = _xi_weights(pipe.tbasis, sub_t[per] - sub_t[0], per + 1)
@@ -130,9 +129,8 @@ def oracle_estimates(pipe: Pipeline, times, Y, stride: int):
     if pipe.bundle.linear is not None:
         means, _ = kalman_bucy(pipe.bundle.linear, Y[:, :, 0], delta_fine)
         return means[:, ::win_stride]
-    ests = galerkin_oracle_estimates(pipe.system, pipe.p_init, pipe.f_coeffs,
+    return galerkin_oracle_estimates(pipe.system, pipe.p_init, pipe.f_coeffs,
                                      pipe.one_coeffs, Y, delta_fine, win_stride)
-    return ests
 
 
 def galerkin_oracle_estimates(system, p_init, f_coeffs, one_coeffs, Y,

@@ -113,44 +113,6 @@ def validate_model(model: FilterModel, grid: QuadratureGrid) -> None:
         raise ValueError(f"p0 quadrature mass {mass:.6f} is not within 1e-3 of 1")
 
 
-def apply_generator(model: FilterModel, g, x, *, grad, hess) -> float:
-    """Generator L applied to g at the point x.
-
-    grad and hess are callables returning the analytic first and second
-    derivatives of g at a point ((d,) and (d, d)).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pt = x.reshape(1, -1)
-    a = model.diffusion_matrix_at(pt)[0]
-    b = model.drift_at(pt)[0]
-    gr = np.broadcast_to(np.asarray(grad(x if model.d > 1 else x[0]), dtype=float), (model.d,))
-    he = np.broadcast_to(np.asarray(hess(x if model.d > 1 else x[0]), dtype=float), (model.d, model.d))
-    out = 0.5 * float(np.sum(a * he)) + float(b @ gr)
-    if not np.isfinite(out):
-        raise ValueError("generator value is not finite")
-    return out
-
-
-def apply_M(model: FilterModel, l: int, g, x, *, grad) -> float:
-    """Observation operator M_l g = h_l g + sum_i rho_il dg/dx_i at x.
-
-    The channel l is 1-based, matching the multi-index convention.
-    """
-    if not 1 <= l <= model.r:
-        raise ValueError(f"channel {l} out of range 1..{model.r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pt = x.reshape(1, -1)
-    hv = model.h_at(pt)[0, l - 1]
-    rho = model.rho_at(pt)[0, :, l - 1]
-    xarg = x if model.d > 1 else x[0]
-    gval = float(np.asarray(g(xarg), dtype=float))
-    gr = np.broadcast_to(np.asarray(grad(xarg), dtype=float), (model.d,))
-    out = hv * gval + float(rho @ gr)
-    if not np.isfinite(out):
-        raise ValueError("observation-operator value is not finite")
-    return out
-
-
 @dataclass(frozen=True)
 class GalerkinSystem:
     """Projected evolution matrices; independent of any time step."""
@@ -253,28 +215,11 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
     return out
 
 
-def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
-    """Euler-Maruyama on the projected system driven by a sampled path.
-
-    y_path: (nsteps+1, r) values of the driving path at uniform spacing
-    delta (a (nsteps+1,) vector is fine when r == 1).  Returns the state
-    at every report_stride-th grid time, initial state included, as an
-    array of shape (nreports + 1, K).  Raises on the first non-finite
-    report, naming the steps it covers.
-    """
-    if report_stride < 1:
-        raise ValueError(f"report_stride must be >= 1, got {report_stride}")
-    if (len(y_path) - 1) % report_stride:
-        raise ValueError("report_stride must divide the number of steps")
-    y = np.reshape(y_path, (1, len(y_path), -1))
-    return _euler_reports(system, y, delta, p_init, report_stride)[:, :, 0]
-
-
 def integrate_galerkin_sde_paths(system, y_paths, delta, p_init):
     """Batched Euler-Maruyama; returns only the final states.
 
     y_paths: (npaths, nsteps+1, r).  p_init: (K,) shared or (npaths, K).
-    Finiteness is checked once at the end (use report_stride in the
-    single-path variant to locate a blow-up step).
+    Finiteness is checked once at the end (_euler_reports with a smaller
+    report_stride locates a blow-up step).
     """
     return _euler_reports(system, y_paths, delta, p_init, max(np.shape(y_paths)[1] - 1, 1))[-1].T

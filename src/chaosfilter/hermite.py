@@ -48,16 +48,7 @@ def write_rows(path, header: str, row: str, data: np.ndarray) -> None:
         fh.write(header + (row * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
-def _gammas(value):
-    return tuple(tuple(int(p) for p in tok.split(",")) for tok in value.split())
-
-
-def _lambdas(value):
-    return np.array([float(t) for t in value.split()])
-
-
-_EXPECTED = {int: "an integer", float: "a float", _gammas: "comma-separated integer tuples",
-             _lambdas: "floats"}
+_EXPECTED = {int: "an integer", float: "a float"}
 
 
 def decode_header(path, lines, fields: dict):
@@ -65,8 +56,12 @@ def decode_header(path, lines, fields: dict):
 
     `fields` maps each key past the basis to int, float or the tuple of the
     strings allowed; every int is a count, so a negative one is rejected.
-    Only version 1 is read.  A missing key or a value that does not parse
-    raises a ValueError naming the file and the key.
+    Only version 1 is read.  The basis is build_basis(basis_d, K), and the
+    basis_gammas and basis_lambdas lines must be the ones basis_fields
+    writes for it.  The gammas line is first checked to hold K tuples of
+    basis_d entries, so a huge declared K or d fails before any basis is
+    built.  A missing key or a value that does not parse or match raises
+    a ValueError naming the file and the key.
     """
     header = dict(line.partition("=")[::2] for line in lines)
     if header.get("version") != "1":
@@ -90,9 +85,17 @@ def decode_header(path, lines, fields: dict):
                 expected = _EXPECTED[cast]
         raise ValueError(f"{path}: table header: {key} is not {expected}: {value!r}")
 
-    basis = SpatialBasis(d=field("basis_d", int), K=field("K", int),
-                         gammas=field("basis_gammas", _gammas),
-                         lambdas=field("basis_lambdas", _lambdas))
+    d, K = field("basis_d", int), field("K", int)
+    gammas = field("basis_gammas", str).split()
+    width = gammas[0].count(",") + 1 if gammas else 0
+    if K < 1 or (len(gammas), width) != (K, d):
+        raise ValueError(f"{path}: table header: basis_gammas holds {len(gammas)} tuples of "
+                         f"{width} entries, expected K={K} tuples of basis_d={d}")
+    basis = build_basis(d, K)
+    for key, value in basis_fields(basis).items():
+        if field(key, str) != value:
+            raise ValueError(f"{path}: table header: {key} does not match the basis of "
+                             f"basis_d={d}, K={K}")
     return {key: field(key, cast) for key, cast in fields.items()}, basis
 
 
@@ -354,10 +357,3 @@ def gram_matrix(basis: SpatialBasis, grid: QuadratureGrid) -> np.ndarray:
     V = basis_tables(basis, grid.nodes)
     return (V * grid.weights) @ V.T
 
-
-def h1_norm(basis: SpatialBasis, k: int, grid: QuadratureGrid) -> float:
-    """Numerical probe of the first Sobolev norm of basis function k."""
-    V, G = basis_tables(basis, grid.nodes, derivatives=1)
-    mass = np.sum(grid.weights * V[k] * V[k])
-    grad = sum(np.sum(grid.weights * G[k, i] * G[k, i]) for i in range(basis.d))
-    return float(np.sqrt(mass + grad))

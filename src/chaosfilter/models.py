@@ -23,10 +23,8 @@ from .reference import LinearModel
 
 @dataclass(frozen=True)
 class ModelBundle:
-    name: str
     filter_model: FilterModel
     linear: LinearModel | None   # exact oracle when the model is linear
-    params: dict
 
 
 def gaussian_density(mean: float, var: float):
@@ -35,14 +33,7 @@ def gaussian_density(mean: float, var: float):
 
 
 def ou_linear(a=-1.0, sigma=1.0, hslope=1.0, m0=0.0, P0=1.0) -> ModelBundle:
-    fm = FilterModel(d=1, d1=1, r=1,
-                     b=lambda x: a * np.asarray(x, dtype=float),
-                     sigma=sigma, rho=0.0,
-                     h=lambda x: hslope * np.asarray(x, dtype=float),
-                     p0=gaussian_density(m0, P0))
-    lin = LinearModel(a=a, sigma=sigma, rho=0.0, h=hslope, m0=m0, P0=P0)
-    return ModelBundle("ou-linear", fm, lin,
-                       dict(a=a, sigma=sigma, h=hslope, m0=m0, P0=P0))
+    return correlated_ou(a, sigma, 0.0, hslope, m0, P0)
 
 
 def correlated_ou(a=-1.0, sigma=1.0, rho=0.5, hslope=1.0, m0=0.0, P0=1.0) -> ModelBundle:
@@ -52,8 +43,7 @@ def correlated_ou(a=-1.0, sigma=1.0, rho=0.5, hslope=1.0, m0=0.0, P0=1.0) -> Mod
                      h=lambda x: hslope * np.asarray(x, dtype=float),
                      p0=gaussian_density(m0, P0))
     lin = LinearModel(a=a, sigma=sigma, rho=rho, h=hslope, m0=m0, P0=P0)
-    return ModelBundle("correlated-ou", fm, lin,
-                       dict(a=a, sigma=sigma, rho=rho, h=hslope, m0=m0, P0=P0))
+    return ModelBundle(fm, lin)
 
 
 def cubic_sensor(a=-1.0, sigma=1.0, eps=0.1, m0=0.0, P0=1.0) -> ModelBundle:
@@ -65,8 +55,7 @@ def cubic_sensor(a=-1.0, sigma=1.0, eps=0.1, m0=0.0, P0=1.0) -> ModelBundle:
                      b=lambda x: a * np.asarray(x, dtype=float),
                      sigma=sigma, rho=0.0, h=h,
                      p0=gaussian_density(m0, P0))
-    return ModelBundle("cubic-sensor", fm, None,
-                       dict(a=a, sigma=sigma, eps=eps, m0=m0, P0=P0))
+    return ModelBundle(fm, None)
 
 
 _BUILDERS = {

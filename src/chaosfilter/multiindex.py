@@ -4,8 +4,9 @@ A multi-index assigns a nonnegative count to each pair ``(k, l)`` with
 ``k >= 1`` a temporal mode and ``1 <= l <= r`` a noise channel; only
 finitely many counts are nonzero and zeros are never stored.  These
 objects do the bookkeeping for truncated chaos expansions: enumeration
-of the truncated index set, characteristic sets, Hermite polynomials
-and the evaluation of the normalized Wick products xi_alpha.
+of the truncated index set, characteristic sets, the table of Hermite
+polynomials behind the Wick products xi_alpha, and the text form of an
+index.
 """
 
 from __future__ import annotations
@@ -190,29 +191,6 @@ def hermite_table(N: int, x) -> np.ndarray:
         np.multiply(x, out[m], out=row)
         row -= m * out[m - 1]
     return out
-
-
-def hermite_poly(nu: int, x):
-    """Probabilists' Hermite polynomial H_nu (row nu of hermite_table).
-
-    Works on scalars and numpy arrays alike.
-    """
-    h = hermite_table(nu, x)[nu]
-    return h if h.ndim else float(h)
-
-
-def xi_eval(alpha: MultiIndex, xi: dict[tuple[int, int], float]) -> float:
-    """Normalized Wick product: prod H_{alpha_k^l}(xi[k,l]) / sqrt(alpha!).
-
-    Equals 1 for the empty index.  Raises KeyError if xi lacks a slot that
-    alpha touches.
-    """
-    out = 1.0
-    for (k, l), c in alpha.entries:
-        if (k, l) not in xi:
-            raise KeyError(f"xi value for slot ({k}, {l}) is missing")
-        out *= hermite_poly(c, xi[(k, l)])
-    return out / math.sqrt(factorial(alpha))
 
 
 def to_line(alpha: MultiIndex) -> str:

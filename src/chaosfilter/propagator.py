@@ -74,6 +74,11 @@ def cosine_basis(delta: float, n: int) -> TemporalBasis:
     return TemporalBasis(delta=delta, n=n)
 
 
+def max_sample_spacing(delta: float, n: int) -> float:
+    """delta/(8 n): the coarsest sample spacing that resolves the fastest of n cosine modes."""
+    return delta / (8 * n)
+
+
 def default_substeps(n: int) -> int:
     # The fastest cosine, cos((n-1) pi s / delta), runs (n-1)/2 periods per
     # window; 8 n substeps put at least 16 RK4 points in each.  Against 2048

@@ -20,7 +20,7 @@ import numpy as np
 from .hermite import (SpatialBasis, basis_tables, decode_rows, first_non_float, read_text,
                       write_rows)
 from .multiindex import hermite_table
-from .propagator import PropagatorTable, TemporalBasis
+from .propagator import PropagatorTable, TemporalBasis, max_sample_spacing
 
 
 class DegenerateNormalizationError(RuntimeError):
@@ -85,7 +85,7 @@ def _xi_weights(tbasis: TemporalBasis, length: float, npts: int) -> np.ndarray:
     if abs(length - tbasis.delta) > 1e-9 * tbasis.delta:
         raise ValueError(f"window length {length:.17g} differs from the temporal basis "
                          f"length {tbasis.delta:.17g}")
-    spacing, max_spacing = length / (npts - 1), tbasis.delta / (8.0 * tbasis.n)
+    spacing, max_spacing = length / (npts - 1), max_sample_spacing(tbasis.delta, tbasis.n)
     if spacing > max_spacing * (1.0 + 1e-9):
         raise ValueError(
             f"window spacing {spacing:.3g} too coarse: need <= delta/(8 n) "
@@ -335,11 +335,11 @@ class FilterRun:
     times: np.ndarray       # (M+1,)
     states: np.ndarray      # (M+1, K)
     masses: np.ndarray      # (M+1,)
-    estimates: np.ndarray | None   # (M+1,) when f was requested
+    estimates: np.ndarray   # (M+1,)
 
 
-def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs=None,
-               one_coeffs=None, floor_rel: float = _FLOOR_REL):
+def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs, one_coeffs,
+               floor_rel: float = _FLOOR_REL):
     """Advance P paths together over M windows from their (P, M, n', r) xi integrals.
 
     Per window: chaos weights (P, |J|), step matrices Q (P, K, K), p <- Q p,
@@ -347,16 +347,15 @@ def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs=N
     Every product is a stacked matmul, which makes the same BLAS call per
     path as on one path alone, so each path's numbers do not depend on
     the others.  `times` (M+1,) only labels errors.  Returns states
-    (P, M+1, K), masses (P, M+1) and estimates (P, M+1) or None.
+    (P, M+1, K), masses (P, M+1) and estimates (P, M+1).
     """
     P, M = xi.shape[:2]
     start = FilterState(t=times[0], p=np.asarray(p_init, dtype=float))
-    want_est = f_coeffs is not None
-    floor = floor_rel * abs(functional(start, one_coeffs)) if want_est else 0.0
+    floor = floor_rel * abs(functional(start, one_coeffs))
     p = np.repeat(start.p[None], P, axis=0)
     states = np.empty((P, M + 1, p.shape[1]))
-    masses = np.full((P, M + 1), math.nan)
-    ests = np.empty((P, M + 1)) if want_est else None
+    masses = np.empty((P, M + 1))
+    ests = np.empty((P, M + 1))
     H = _hermite_table(table, xi)
     # the checks below name every overflow and NaN, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -369,35 +368,29 @@ def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs=N
                     raise FloatingPointError(f"filter state of path {bad} became non-finite "
                                              f"in window {i} at t={times[i]}")
             states[:, i] = p
-            if one_coeffs is not None:
-                masses[:, i] = den = _reads(p, one_coeffs)
-            if want_est:
-                low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
-                if low.any():
-                    bad = int(np.argmax(low))
-                    raise DegenerateNormalizationError(
-                        f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
-                        f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
-                ests[:, i] = _reads(p, f_coeffs) / den
+            masses[:, i] = den = _reads(p, one_coeffs)
+            low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
+            if low.any():
+                bad = int(np.argmax(low))
+                raise DegenerateNormalizationError(
+                    f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
+                    f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
+            ests[:, i] = _reads(p, f_coeffs) / den
     return states, masses, ests
 
 
 def run_filter(table: PropagatorTable, tbasis: TemporalBasis, p_init, windows,
-               f_coeffs=None, one_coeffs=None, floor_rel: float = _FLOOR_REL) -> FilterRun:
-    """Advance the recursion over consecutive windows.
+               f_coeffs, one_coeffs, floor_rel: float = _FLOOR_REL) -> FilterRun:
+    """Advance the recursion over consecutive windows and read the estimate of f after each.
 
     The degenerate-normalization floor is floor_rel times the initial
-    mass, per-run.  Estimates are emitted only when f_coeffs is given
-    (one_coeffs then defaults to nothing sensible and must be supplied).
+    mass, per-run; one_coeffs is the projection of the constant 1.
     """
-    if f_coeffs is not None and one_coeffs is None:
-        raise ValueError("estimates need one_coeffs (projection of the constant 1)")
     xi = (np.array([xi_integrals(win, tbasis) for win in windows]) if windows
           else np.empty((0, tbasis.n, table.r)))[None]
     times = np.cumsum([windows[0].t_start if windows else 0.0, *(w.delta for w in windows)])
     states, masses, ests = _recursion(table, xi, p_init, times, f_coeffs, one_coeffs, floor_rel)
-    return FilterRun(times=times, states=states[0], masses=masses[0],
-                     estimates=None if ests is None else ests[0])
+    return FilterRun(times=times, states=states[0], masses=masses[0], estimates=ests[0])
 
 
 def write_state_csv(path, run: FilterRun) -> None:
@@ -407,6 +400,5 @@ def write_state_csv(path, run: FilterRun) -> None:
 
 
 def write_estimate_csv(path, run: FilterRun) -> None:
-    est = run.estimates if run.estimates is not None else np.full(run.times.shape, math.nan)
     write_rows(path, "t,estimate,mass\n", "%.17g,%.17g,%.17g\n",
-               np.column_stack([run.times, est, run.masses]))
+               np.column_stack([run.times, run.estimates, run.masses]))

@@ -7,9 +7,9 @@ The pair follows
 
 with independent Wiener processes W and V; reusing the V increments in
 both equations is what realizes the noise correlation.  Paths are
-generated by Euler-Maruyama on a fine step and reported on a coarser
-observation step.  Reproducibility comes from numpy seed sequences
-keyed by (seed, path index); no specific generator family is promised.
+generated by Euler-Maruyama and reported at every step.  Reproducibility
+comes from numpy seed sequences keyed by (seed, path index); no specific
+generator family is promised.
 """
 
 from __future__ import annotations
@@ -29,25 +29,16 @@ class SimulationConfig:
     T: float
     delta_sim: float
     seed: int
-    delta_obs: float
 
     def __post_init__(self):
-        if not 0 < self.delta_sim <= self.delta_obs <= self.T:
-            raise ValueError("need 0 < delta_sim <= delta_obs <= T")
-        ratio = self.delta_obs / self.delta_sim
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("delta_obs must be an integer multiple of delta_sim")
+        if not 0 < self.delta_sim <= self.T:
+            raise ValueError("need 0 < delta_sim <= T")
+        if abs(self.T / self.delta_sim - self.n_steps) > 1e-9:
+            raise ValueError("T must be an integer multiple of delta_sim")
 
     @property
-    def steps_per_obs(self) -> int:
-        return int(round(self.delta_obs / self.delta_sim))
-
-    @property
-    def n_obs(self) -> int:
-        n = self.T / self.delta_obs
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("T must be an integer multiple of delta_obs")
-        return int(round(n))
+    def n_steps(self) -> int:
+        return int(round(self.T / self.delta_sim))
 
 
 def sample_initial(p0, count: int, seed: int, support=(-10.0, 10.0),
@@ -84,8 +75,8 @@ def _path_rngs(seed: int, npaths: int):
 def simulate_paths(config: SimulationConfig, npaths: int, x0=None):
     """Euler-Maruyama for a batch of independent paths.
 
-    Returns (times, X, Y) with X of shape (npaths, n_obs+1, d) and Y of
-    shape (npaths, n_obs+1, r), both reported at the observation step.
+    Returns (times, X, Y) with X of shape (npaths, n_steps+1, d) and Y of
+    shape (npaths, n_steps+1, r), both reported at every step.
     x0 overrides the initial states ((npaths, d) or (npaths,) for d = 1);
     by default they are drawn from p0 (d = 1 only).
     """
@@ -97,14 +88,14 @@ def simulate_paths(config: SimulationConfig, npaths: int, x0=None):
         x0 = sample_initial(model.p0, npaths, seed=config.seed ^ 0x5EED)
     X = np.atleast_2d(np.asarray(x0, dtype=float).reshape(npaths, d)).copy()
     Y = np.zeros((npaths, r))
-    nobs, per = config.n_obs, config.steps_per_obs
+    steps = config.n_steps
     dt, sq = config.delta_sim, math.sqrt(config.delta_sim)
     rngs = _path_rngs(config.seed, npaths)
-    dW = np.empty((npaths, nobs * per, d1))
-    dV = np.empty((npaths, nobs * per, r))
+    dW = np.empty((npaths, steps, d1))
+    dV = np.empty((npaths, steps, r))
     for p, rng in enumerate(rngs):
-        dW[p] = rng.normal(scale=sq, size=(nobs * per, d1))
-        dV[p] = rng.normal(scale=sq, size=(nobs * per, r))
+        dW[p] = rng.normal(scale=sq, size=(steps, d1))
+        dV[p] = rng.normal(scale=sq, size=(steps, r))
 
     def per_step(at, field):
         """at for a callable field; a constant one does not depend on x and is evaluated once."""
@@ -115,25 +106,22 @@ def simulate_paths(config: SimulationConfig, npaths: int, x0=None):
 
     drift, sigma = per_step(model.drift_at, model.b), per_step(model.sigma_at, model.sigma)
     rho, h = per_step(model.rho_at, model.rho), per_step(model.h_at, model.h)
-    Xout = np.empty((npaths, nobs + 1, d))
-    Yout = np.empty((npaths, nobs + 1, r))
+    Xout = np.empty((npaths, steps + 1, d))
+    Yout = np.empty((npaths, steps + 1, r))
     Xout[:, 0], Yout[:, 0] = X, Y
-    step = 0
-    for i in range(nobs):
-        for _ in range(per):
-            bX = drift(X)
-            sX = sigma(X)
-            rX = rho(X)
-            hX = h(X)
-            Y = Y + hX * dt + dV[:, step]
-            X = (X + bX * dt
-                 + np.einsum("pij,pj->pi", sX, dW[:, step])
-                 + np.einsum("pij,pj->pi", rX, dV[:, step]))
-            if not np.all(np.isfinite(X)):
-                raise FloatingPointError(f"state blew up in simulation step {step + 1}")
-            step += 1
-        Xout[:, i + 1], Yout[:, i + 1] = X, Y
-    times = np.arange(nobs + 1) * config.delta_obs
+    for step in range(steps):
+        bX = drift(X)
+        sX = sigma(X)
+        rX = rho(X)
+        hX = h(X)
+        Y = Y + hX * dt + dV[:, step]
+        X = (X + bX * dt
+             + np.einsum("pij,pj->pi", sX, dW[:, step])
+             + np.einsum("pij,pj->pi", rX, dV[:, step]))
+        if not np.all(np.isfinite(X)):
+            raise FloatingPointError(f"state blew up in simulation step {step + 1}")
+        Xout[:, step + 1], Yout[:, step + 1] = X, Y
+    times = np.arange(steps + 1) * config.delta_sim
     return times, Xout, Yout
 
 

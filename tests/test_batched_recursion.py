@@ -17,11 +17,12 @@ from chaosfilter import experiments
 from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem
 from chaosfilter.hermite import build_basis
-from chaosfilter.multiindex import hermite_poly
 from chaosfilter.propagator import cosine_basis, precompute_table
 from chaosfilter.runtime import (DegenerateNormalizationError, FilterState, ObservationWindow,
                                  advance, cut_windows, estimate, functional, run_filter,
                                  step_matrix, xi_integrals)
+
+from oracles import hermite_poly
 
 
 def model_setup(model, K, N, n, T, paths, seed, delta_sim=None):

@@ -8,6 +8,7 @@ import pytest
 from chaosfilter import experiments
 from chaosfilter.cli import main
 from chaosfilter.config import ConfigError, parse_config
+from chaosfilter.hermite import basis_fields, build_basis
 from chaosfilter.propagator import TemporalBasis, load_table
 from chaosfilter.reference import compare_on_path, kalman_bucy
 from chaosfilter.runtime import read_observations, write_observations
@@ -60,6 +61,7 @@ def test_parse_config_comments_and_budget():
     ("discretization.delta_sim = 0.007", "discretization.delta_sim"),
     ("discretization.quad_m = 500", "discretization.quad_m"),
     ("run.paths = 0", "run.paths"),
+    ("run.seed = -3", "run.seed"),
     ("budget.C = -2", "budget.C"),
     ("budget.nu = 3", "budget.nu"),
 ])
@@ -226,6 +228,39 @@ def test_table_of_fewer_modes_than_the_config_filters(tmp_path):
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 0
 
 
+def test_replay_sampled_for_a_table_of_fewer_modes_filters_as_under_its_config(tmp_path):
+    # table and replay from an n=4 config (delta_obs = delta/32), too coarse for the n=8
+    # config's own sampling rule: the table's modes set the rule, and the outputs are those
+    # of the n=4 config bit for bit
+    small_text = ("model.name = ou-linear\ndiscretization.K = 8\ndiscretization.N = 2\n"
+                  "discretization.n = 4\ndiscretization.delta = 0.01\ndiscretization.T = 0.1\n"
+                  "run.seed = 3\n")
+    small = write_cfg(tmp_path, small_text, name="small.cfg")
+    large = write_cfg(tmp_path, small_text.replace("n = 4", "n = 8"), name="large.cfg")
+    table, sim = tmp_path / "table.tbl", tmp_path / "sim"
+    assert main(["precompute", "--config", small, "--out", str(table)]) == 0
+    assert main(["simulate", "--config", small, "--out", str(sim)]) == 0
+    for cfg_path, out in ((small, tmp_path / "small"), (large, tmp_path / "large")):
+        assert main(["filter", "--config", cfg_path, "--table", str(table),
+                     "--obs", str(sim / "obs_000.txt"), "--out", str(out)]) == 0
+    for name in ("states.csv", "estimates.csv"):
+        assert (tmp_path / "large" / name).read_bytes() == (tmp_path / "small" / name).read_bytes()
+
+
+def test_negative_seed_is_validation_failure(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"run\.seed: must be >= 0, got -3"):
+        parse_config(BASE + "run.seed = -3\n")
+    cfg_path = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim"),
+                 "--seed-override", "-1"]) == 2
+    assert "run.seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+    negative = write_cfg(tmp_path, BASE + "run.seed = -3\n", name="negative.cfg")
+    assert main(["sweep", "--config", negative, "--axis", "n", "--values", "2",
+                 "--out", str(tmp_path / "sweep")]) == 2
+    assert "run.seed: must be >= 0, got -3" in capsys.readouterr().err
+
+
 def test_truncated_table_is_validation_failure(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
@@ -250,11 +285,15 @@ def test_ragged_replay_is_validation_failure(tmp_path, capsys):
 
 
 def test_table_of_huge_declared_size_is_validation_failure(tmp_path, capsys):
-    # K=60000 and 100000 blocks: the file runs out in block 1, long before the memory would
+    # K=60000, with its basis lines, and 100000 blocks: the file runs out in block 1, long
+    # before the memory would
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
     assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
     data = table.read_bytes().replace(b"\nK=6\n", b"\nK=60000\n", 1)
+    big = basis_fields(build_basis(1, 60000))
+    for key, value in basis_fields(build_basis(1, 6)).items():
+        data = data.replace(f"\n{key}={value}\n".encode(), f"\n{key}={big[key]}\n".encode(), 1)
     table.write_bytes(data.replace(b"\nindices=3\n", b"\nindices=100000\n", 1))
     obs = tmp_path / "obs.txt"
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
@@ -272,6 +311,14 @@ def test_table_of_huge_declared_size_is_validation_failure(tmp_path, capsys):
     ("format=binary", "format=text", "table header: format is not 'binary': 'text'"),
     ("K=6", "K=abc", "table header: K is not an integer: 'abc'"),
     ("indices=3", "indices=-1", "table header: indices is not a nonnegative integer: '-1'"),
+    ("basis_gammas=0 1 2 3 4 5", "basis_gammas=0 1",
+     "table header: basis_gammas holds 2 tuples of 1 entries, expected K=6 tuples of basis_d=1"),
+    ("basis_d=1", "basis_d=2",
+     "table header: basis_gammas holds 6 tuples of 1 entries, expected K=6 tuples of basis_d=2"),
+    ("basis_gammas=0 1 2 3 4 5", "basis_gammas=0 1 2 3 5 4",
+     "table header: basis_gammas does not match the basis of basis_d=1, K=6"),
+    ("basis_lambdas=2 4", "basis_lambdas=2 5",
+     "table header: basis_lambdas does not match the basis of basis_d=1, K=6"),
 ])
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, apply_M,
-                                  apply_generator, assemble, dissipativity_gap,
-                                  integrate_galerkin_sde, integrate_galerkin_sde_paths,
+from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, assemble,
+                                  dissipativity_gap, integrate_galerkin_sde_paths,
                                   validate_model)
 from chaosfilter.experiments import galerkin_oracle_estimates
 from chaosfilter.hermite import basis_tables, build_basis
 from chaosfilter.models import cubic_sensor
 
 from conftest import gaussian_p0, ou_test_model
+from oracles import apply_M, apply_generator, integrate_galerkin_sde
 
 
 def test_apply_generator_examples():

@@ -14,10 +14,12 @@ read it:
   KeyError or a bare int(), float() or numpy error from a header), one
   that does.
 
-Three kinds of table the oracle accepts are now rejected on purpose, with
+Four kinds of table the oracle accepts are now rejected on purpose, with
 a named ValueError: one whose `format=` is not binary, one whose header
-holds a negative count, and one with content other than whitespace after
-its declared blocks (which the oracle ignores).
+holds a negative count, one whose basis lines are not those save_table
+writes for `build_basis(basis_d, K)` (the oracle parses whatever they
+list), and one with content other than whitespace after its declared
+blocks (which the oracle ignores).
 """
 
 import re
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chaosfilter.hermite import SpatialBasis, build_basis, first_non_float
+from chaosfilter.hermite import SpatialBasis, basis_fields, build_basis, first_non_float
 from chaosfilter.multiindex import enumerate_truncated, from_line
 from chaosfilter.propagator import PropagatorTable, load_table, save_table
 from chaosfilter.runtime import read_observations, write_observations
@@ -244,6 +246,19 @@ def _bad_format(path, table):
                    for key in (b"K", b"r", b"N", b"n", b"substeps", b"indices", b"basis_d")))
 
 
+def _bad_basis(path):
+    # the oracle parsed any basis lines; the reader requires those of build_basis(basis_d, K)
+    header = dict(line.partition(b"=")[::2] for line in path.read_bytes().split(b"\n")[:12])
+    try:
+        d, K = int(header[b"basis_d"]), int(header[b"K"])
+    except (KeyError, ValueError):
+        return False          # the oracle fails there too, and the reader names the key
+    if d < 1 or K < 1:
+        return True           # no basis has them, so the reader rejects the header
+    return any(header.get(key.encode()) != value.encode()
+               for key, value in basis_fields(build_basis(d, K)).items())
+
+
 @FUZZ
 @given(data=st.data(), table=table_files())
 def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, table):
@@ -251,7 +266,7 @@ def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, table):
     save_table(path, table)
     path.write_bytes(data.draw(corrupted(path.read_bytes())))
     def rejected_on_purpose(path, table):
-        return (_bad_format(path, table)
+        return (_bad_format(path, table) or _bad_basis(path)
                 or (table is not None and bool(_table_oracle(path)[1].strip())))
 
     _same_outcome(path, load_table_oracle, load_table, _same_table, rejected_on_purpose)

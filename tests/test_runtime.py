@@ -8,7 +8,7 @@ from chaosfilter import experiments
 from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import build_basis, project
-from chaosfilter.multiindex import factorial, hermite_table, xi_eval
+from chaosfilter.multiindex import factorial, hermite_table
 from chaosfilter.propagator import cosine_basis, precompute_table
 from chaosfilter.runtime import (DegenerateNormalizationError, FilterRun, FilterState,
                                  ObservationWindow, _chaos_weights, _hermite_table,
@@ -18,6 +18,7 @@ from chaosfilter.runtime import (DegenerateNormalizationError, FilterRun, Filter
                                  write_samples, write_state_csv, xi_integrals)
 
 from conftest import gaussian_p0
+from oracles import xi_eval
 
 
 def make_window(delta=1.0, npts=129, fn=None, r=1):
@@ -501,8 +502,7 @@ def _state_csv_oracle(path, run):
 def _estimate_csv_oracle(path, run):
     with open(path, "w", newline="\n") as fh:
         fh.write("t,estimate,mass\n")
-        est = run.estimates if run.estimates is not None else np.full(run.times.shape, math.nan)
-        for t, e, m in zip(run.times, est, run.masses):
+        for t, e, m in zip(run.times, run.estimates, run.masses):
             fh.write(f"{t:.17g},{e:.17g},{m:.17g}\n")
 
 
@@ -527,17 +527,16 @@ def _same_bytes(tmp_path, write, oracle, *args):
     return (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
-@pytest.mark.parametrize("with_estimates", [True, False])
-def test_filter_csv_writers_match_per_value_oracles(tmp_path, with_estimates):
+def test_filter_csv_writers_match_per_value_oracles(tmp_path):
     M, K = len(EXTREMES), 3
     states = np.random.default_rng(4).normal(size=(M, K))
     states[:, 1] = EXTREMES
     run = FilterRun(times=np.linspace(0.0, 1.0, M), states=states, masses=EXTREMES[::-1].copy(),
-                    estimates=EXTREMES.copy() if with_estimates else None)
+                    estimates=EXTREMES.copy())
     assert _same_bytes(tmp_path, write_state_csv, _state_csv_oracle, run)
     assert _same_bytes(tmp_path, write_estimate_csv, _estimate_csv_oracle, run)
     empty = FilterRun(times=np.empty(0), states=np.empty((0, K)), masses=np.empty(0),
-                      estimates=None)
+                      estimates=np.empty(0))
     assert _same_bytes(tmp_path, write_state_csv, _state_csv_oracle, empty)
     assert _same_bytes(tmp_path, write_estimate_csv, _estimate_csv_oracle, empty)
 
