@@ -16,11 +16,12 @@ import warnings
 import numpy as np
 
 from .config import ConfigError, load_config
-from .experiments import build_pipeline, check_consistency, make_table, run_sweep, simulate_full
+from .experiments import (build_pipeline, check_consistency, make_table, project_model, run_sweep,
+                          simulate_full)
 from .hermite import write_rows
 from .propagator import cosine_basis, load_table, save_table, truncation_certificate
 from .reference import compare_on_path, kalman_bucy
-from .runtime import (FilterRun, cut_windows, read_observations, run_filter, write_estimate_csv,
+from .runtime import (FilterRun, _run_samples, read_observations, write_estimate_csv,
                       write_observations, write_state_csv)
 from .simulate import write_truth
 
@@ -76,14 +77,15 @@ def _cmd_filter(args) -> int:
         write_estimate_csv(est_csv, empty)
         print("no samples; wrote header-only CSVs")
         return 0
-    pipe = build_pipeline(cfg)
-    windows = _parse(args.obs, cut_windows, times, values, cfg.delta)
+    _, _, _, (p_init, f_coeffs, one_coeffs) = project_model(cfg)
     # a table of fewer modes than the config is sampled by its own n (check_consistency)
-    run = run_filter(table, cosine_basis(cfg.delta, table.n), pipe.p_init, windows,
-                     f_coeffs=pipe.f_coeffs, one_coeffs=pipe.one_coeffs)
+    t, states, masses, ests = _parse(args.obs, _run_samples, table,
+                                     cosine_basis(cfg.delta, table.n), p_init, times,
+                                     values[None], f_coeffs, one_coeffs)
+    run = FilterRun(times=t, states=states[0], masses=masses[0], estimates=ests[0])
     write_state_csv(state_csv, run)
     write_estimate_csv(est_csv, run)
-    print(f"filtered {len(windows)} windows; wrote {state_csv} and {est_csv}")
+    print(f"filtered {t.size - 1} windows; wrote {state_csv} and {est_csv}")
     return 0
 
 

@@ -12,13 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .galerkin import GalerkinSystem, _euler_reports, assemble
+from .galerkin import GalerkinSystem, _euler_reports, assemble, validate_model
 from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project_many
 from .models import ModelBundle, build_model
 from .propagator import (PropagatorTable, TemporalBasis, cosine_basis, max_sample_spacing,
                          precompute_table, truncation_certificate)
 from .reference import kalman_bucy
-from .runtime import _recursion, _samples_per_window, _xi_weights
+from .runtime import _run_samples
 from .simulate import SimulationConfig, simulate_paths
 
 
@@ -42,21 +42,34 @@ class Pipeline:
     one_coeffs: np.ndarray    # projection of the constant 1
 
 
-def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
+def project_model(cfg: ExperimentConfig):
+    """The model bundle, basis and grid of cfg, and the projections of p0, x_1 and 1.
+
+    The model is checked on the grid (galerkin.validate_model) before it
+    is projected, so filter, which needs only the projections and never
+    assembles, rejects an invalid model as build_pipeline does.  Returns
+    (bundle, basis, grid, (p_init, f_coeffs, one_coeffs)).
+    """
     try:
         bundle = build_model(cfg.model_name, **_builder_kwargs(cfg.model_params))
     except TypeError as exc:
         raise ConfigError(f"model parameters not valid for {cfg.model_name}: {exc}") from exc
-    basis = build_basis(bundle.filter_model.d, cfg.K)
-    grid = gauss_hermite_grid(bundle.filter_model.d, cfg.quad_m)
-    system = assemble(bundle.filter_model, basis, grid)
-    tbasis = cosine_basis(cfg.delta, cfg.n)
     d = bundle.filter_model.d
+    basis = build_basis(d, cfg.K)
+    grid = gauss_hermite_grid(d, cfg.quad_m)
+    validate_model(bundle.filter_model, grid)
     coord = (lambda x: x) if d == 1 else (lambda x: x[:, 0])
     one = (lambda x: np.ones(np.size(x))) if d == 1 else (lambda x: np.ones(np.shape(x)[0]))
-    p_init, f_coeffs, one_coeffs = project_many([bundle.filter_model.p0, coord, one], basis, grid)
-    return Pipeline(cfg=cfg, bundle=bundle, basis=basis, grid=grid, system=system,
-                    tbasis=tbasis, p_init=p_init, f_coeffs=f_coeffs, one_coeffs=one_coeffs)
+    coeffs = project_many([bundle.filter_model.p0, coord, one], basis, grid)
+    return bundle, basis, grid, coeffs
+
+
+def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
+    bundle, basis, grid, (p_init, f_coeffs, one_coeffs) = project_model(cfg)
+    return Pipeline(cfg=cfg, bundle=bundle, basis=basis, grid=grid,
+                    system=assemble(bundle.filter_model, basis, grid),
+                    tbasis=cosine_basis(cfg.delta, cfg.n), p_init=p_init, f_coeffs=f_coeffs,
+                    one_coeffs=one_coeffs)
 
 
 def make_table(pipe: Pipeline) -> PropagatorTable:
@@ -98,20 +111,14 @@ def simulate_full(cfg: ExperimentConfig, pipe: Pipeline, npaths: int, seed=None)
 def chaos_estimates(pipe: Pipeline, table: PropagatorTable, times, Y, stride: int):
     """Run the recursion on all paths together; returns (window times, estimates (npaths, M+1)).
 
-    Y is (P, samples, r), as simulate_full returns it.  The xi integrals
-    of every window of every path come from one stacked product of the
-    trapezoid weights with the (P, M, npts, r) window samples; the paths
-    then advance together through the same window loop as run_filter,
-    and each row equals that path's run_filter estimates.
+    Y is (P, samples, r), as simulate_full returns it; every stride-th
+    sample is filtered.  Each row equals that path's run_filter estimates.
     """
     cfg = pipe.cfg
-    sub_t = np.asarray(times, dtype=float)[::stride]
-    Y = np.asarray(Y, dtype=float)[:, ::stride]
-    per = _samples_per_window(sub_t, cfg.delta)
-    starts = np.arange(0, sub_t.size - 1, per)
-    weights = _xi_weights(pipe.tbasis, sub_t[per] - sub_t[0], per + 1)
-    xi = np.matmul(weights, Y[:, starts[:, None] + np.arange(per + 1)])
-    _, _, est = _recursion(table, xi, pipe.p_init, sub_t[::per], pipe.f_coeffs, pipe.one_coeffs)
+    _, _, _, est = _run_samples(table, pipe.tbasis, pipe.p_init,
+                                np.asarray(times, dtype=float)[::stride],
+                                np.asarray(Y, dtype=float)[:, ::stride],
+                                pipe.f_coeffs, pipe.one_coeffs)
     nwin = int(round(cfg.T / cfg.delta))
     return np.arange(nwin + 1) * cfg.delta, est
 

@@ -5,7 +5,9 @@ xi_{k,l} of the cosine modes against the observation path, the Wick
 products of those integrals weight the precomputed flow matrices into a
 single step matrix Q, and the coefficient vector advances by p <- Q p.
 Densities and conditional estimates are then linear reads of p.  One
-window loop advances a stack of paths together; run_filter feeds it one.
+window loop advances a stack of paths together: run_filter feeds it the
+windows of one path, chaos_estimates and the filter command the sample
+arrays of many (_run_samples).
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def functional(state: FilterState, f_coeffs) -> float:
 
 
 def _reads(p: np.ndarray, f_coeffs) -> np.ndarray:
-    """functional for each row of p (P, K): the same dot product per row, stacked."""
-    return np.matmul(p[:, None, :], np.asarray(f_coeffs, dtype=float))[:, 0]
+    """functional for each row of p (..., K): the same dot product per row, stacked."""
+    return np.matmul(p[..., None, :], np.asarray(f_coeffs, dtype=float))[..., 0]
 
 
 def estimate(state: FilterState, f_coeffs, one_coeffs, floor: float = 0.0) -> float:
@@ -303,6 +305,8 @@ def _samples_per_window(times: np.ndarray, delta: float) -> int:
     if times.size == 1:
         raise ValueError("cutting windows needs at least two samples, got one")
     spacing = float(times[1] - times[0])
+    if not spacing > 0:
+        raise ValueError("window times must be strictly increasing")
     if np.max(np.abs(np.diff(times) - spacing)) > 1e-12 * max(1.0, abs(spacing)):
         raise ValueError("window sampling must be uniform")
     per = delta / spacing
@@ -338,45 +342,76 @@ class FilterRun:
     estimates: np.ndarray   # (M+1,)
 
 
+# Step-matrix entries P c K^2 that _recursion forms for a block of c windows at once: enough
+# windows per stacked call to amortize its overhead at K=32, few enough that the block (256 KB)
+# adds about 0.5 MB to the peak memory of a 10-path run at K=16.
+_BLOCK_ENTRIES = 2 ** 15
+
+
 def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs, one_coeffs,
                floor_rel: float = _FLOOR_REL):
     """Advance P paths together over M windows from their (P, M, n', r) xi integrals.
 
-    Per window: chaos weights (P, |J|), step matrices Q (P, K, K), p <- Q p,
-    one finiteness scan, the mass and estimate reads, the floor check.
-    Every product is a stacked matmul, which makes the same BLAS call per
-    path as on one path alone, so each path's numbers do not depend on
-    the others.  `times` (M+1,) only labels errors.  Returns states
-    (P, M+1, K), masses (P, M+1) and estimates (P, M+1).
+    The chaos weights (P, c, |J|) and step matrices Q (P, c, K, K) of a
+    block of c windows come from two stacked calls; the loop over the
+    block's windows only advances p <- Q p.  The mass and estimate reads,
+    the finiteness scan and the floor check then run once over all
+    windows, and a failure is reported for the earliest failing window,
+    a non-finite state before a low mass.  Every product is a stacked
+    matmul, which makes the same BLAS call per row as on one row alone,
+    so each path's numbers do not depend on the others or on the block.
+    `times` (M+1,) only labels errors.  Returns states (P, M+1, K),
+    masses (P, M+1) and estimates (P, M+1).
     """
-    P, M = xi.shape[:2]
+    (P, M), K = xi.shape[:2], table.K
     start = FilterState(t=times[0], p=np.asarray(p_init, dtype=float))
     floor = floor_rel * abs(functional(start, one_coeffs))
     p = np.repeat(start.p[None], P, axis=0)
-    states = np.empty((P, M + 1, p.shape[1]))
-    masses = np.empty((P, M + 1))
-    ests = np.empty((P, M + 1))
+    states = np.empty((P, M + 1, K))
+    states[:, 0] = p
     H = _hermite_table(table, xi)
+    block = max(1, _BLOCK_ENTRIES // (P * K * K))
     # the checks below name every overflow and NaN, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(M + 1):
-            if i:
-                Q = _weighted_sum(table, _chaos_weights(table, H[:, i - 1]))
-                p = np.matmul(Q, p[:, :, None])[:, :, 0]
-                if not np.isfinite(p).all():
-                    bad = int(np.argmin(np.isfinite(p).all(axis=1)))
-                    raise FloatingPointError(f"filter state of path {bad} became non-finite "
-                                             f"in window {i} at t={times[i]}")
-            states[:, i] = p
-            masses[:, i] = den = _reads(p, one_coeffs)
-            low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
-            if low.any():
-                bad = int(np.argmax(low))
-                raise DegenerateNormalizationError(
-                    f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
-                    f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
-            ests[:, i] = _reads(p, f_coeffs) / den
-    return states, masses, ests
+        for b in range(0, M, block):
+            W = _chaos_weights(table, H[:, b:b + block])          # (P, c, |J|)
+            Q = _weighted_sum(table, W.reshape(-1, W.shape[-1])).reshape(P, -1, K, K)
+            for i in range(Q.shape[1]):
+                p = np.matmul(Q[:, i], p[:, :, None])[:, :, 0]
+                states[:, b + i + 1] = p
+        finite = np.isfinite(states).all(axis=2)
+        masses = _reads(states, one_coeffs)
+        low = ~np.isfinite(masses) | (np.abs(masses) <= floor) | (masses == 0.0)
+        if low.any() or not finite.all():
+            i = int(np.argmax(low.any(axis=0) | ~finite.all(axis=0)))
+            if not finite[:, i].all():
+                bad = int(np.argmin(finite[:, i]))
+                raise FloatingPointError(f"filter state of path {bad} became non-finite "
+                                         f"in window {i} at t={times[i]}")
+            bad, den = int(np.argmax(low[:, i])), masses[:, i]
+            raise DegenerateNormalizationError(
+                f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
+                f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
+        return states, masses, _reads(states, f_coeffs) / masses
+
+
+def _run_samples(table: PropagatorTable, tbasis: TemporalBasis, p_init, times, Y,
+                 f_coeffs, one_coeffs):
+    """run_filter over the windows cut from uniform `times` (S,) for every path of Y (P, S, r).
+
+    No window object is built: one stacked product of the cached trapezoid
+    weights with the (P, M, npts, r) window samples gives every xi, and
+    the windows are labelled by the cumulative sum of their lengths, as
+    run_filter labels them.  Each path's output equals run_filter over
+    cut_windows on its samples bit for bit.  Returns the window times
+    (M+1,), states (P, M+1, K), masses (P, M+1) and estimates (P, M+1).
+    """
+    per = _samples_per_window(times, tbasis.delta)
+    starts = np.arange(0, times.size - 1, per)
+    weights = _xi_weights(tbasis, times[per] - times[0], per + 1)
+    xi = np.matmul(weights, Y[:, starts[:, None] + np.arange(per + 1)])
+    labels = np.cumsum(np.concatenate([times[:1], times[starts + per] - times[starts]]))
+    return (labels, *_recursion(table, xi, p_init, labels, f_coeffs, one_coeffs))
 
 
 def run_filter(table: PropagatorTable, tbasis: TemporalBasis, p_init, windows,

@@ -1,9 +1,10 @@
 """Reference forms that only the tests call.
 
 Pointwise operators, a one-path Euler driver, the scalar Hermite
-polynomial with the dict-keyed Wick product built on it, and a Sobolev
-norm probe.  The library computes each of these in a batched form; the
-tests check it against these.
+polynomial with the dict-keyed Wick product built on it, a Sobolev norm
+probe, and the per-window loop of the online recursion.  The library
+computes each of these in a batched form; the tests check it against
+these.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 from chaosfilter.galerkin import FilterModel, _euler_reports
 from chaosfilter.hermite import QuadratureGrid, SpatialBasis, basis_tables
 from chaosfilter.multiindex import MultiIndex, factorial, hermite_table
+from chaosfilter.runtime import (_FLOOR_REL, DegenerateNormalizationError, FilterState,
+                                 _chaos_weights, _hermite_table, _mass_fault, functional)
 
 
 def apply_generator(model: FilterModel, g, x, *, grad, hess) -> float:
@@ -101,3 +104,43 @@ def h1_norm(basis: SpatialBasis, k: int, grid: QuadratureGrid) -> float:
     mass = np.sum(grid.weights * V[k] * V[k])
     grad = sum(np.sum(grid.weights * G[k, i] * G[k, i]) for i in range(basis.d))
     return float(np.sqrt(mass + grad))
+
+
+def per_window_recursion(table, xi, p_init, times, f_coeffs, one_coeffs, floor_rel=_FLOOR_REL):
+    """The window loop that runtime._recursion's blocked loop replaced.
+
+    Per window: the chaos weights and step matrices of every path, p <- Q p,
+    one finiteness scan, the mass and estimate reads and the floor check,
+    raising at the first failing window.  Takes and returns what
+    _recursion does.
+    """
+    P, M = xi.shape[:2]
+    K = table.K
+    start = FilterState(t=times[0], p=np.asarray(p_init, dtype=float))
+    floor = floor_rel * abs(functional(start, one_coeffs))
+    p = np.repeat(start.p[None], P, axis=0)
+    states = np.empty((P, M + 1, p.shape[1]))
+    masses = np.empty((P, M + 1))
+    ests = np.empty((P, M + 1))
+    H = _hermite_table(table, xi)
+    flows = table.matrices.reshape(-1, K * K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(M + 1):
+            if i:
+                W = _chaos_weights(table, H[:, i - 1])
+                Q = np.matmul(W[:, None, :], flows).reshape(-1, K, K)
+                p = np.matmul(Q, p[:, :, None])[:, :, 0]
+                if not np.isfinite(p).all():
+                    bad = int(np.argmin(np.isfinite(p).all(axis=1)))
+                    raise FloatingPointError(f"filter state of path {bad} became non-finite "
+                                             f"in window {i} at t={times[i]}")
+            states[:, i] = p
+            masses[:, i] = den = np.matmul(p[:, None, :], one_coeffs)[:, 0]
+            low = ~np.isfinite(den) | (np.abs(den) <= floor) | (den == 0.0)
+            if low.any():
+                bad = int(np.argmax(low))
+                raise DegenerateNormalizationError(
+                    f"normalization mass {den[bad]:.3e} of path {bad} in window {i} "
+                    f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
+            ests[:, i] = np.matmul(p[:, None, :], f_coeffs)[:, 0] / den
+    return states, masses, ests

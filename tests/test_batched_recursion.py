@@ -1,9 +1,11 @@
-"""The path-batched window loop behind run_filter and chaos_estimates.
+"""The path-batched window loop behind run_filter, chaos_estimates and filter.
 
 The benchmark compares these outputs bit for bit (stepwise loop against
 chaos_estimates, chaos_estimates against per-path run_filter), so the
-same comparisons run here first.  The per-window loop that the batched
-one replaced is kept below as its oracle.
+same comparisons run here first.  The loops that the batched one
+replaced are kept as its oracles: the per-path loop below, and the
+per-window loop (oracles.per_window_recursion) that the blocked one
+replaced.
 """
 
 import math
@@ -18,11 +20,11 @@ from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem
 from chaosfilter.hermite import build_basis
 from chaosfilter.propagator import cosine_basis, precompute_table
-from chaosfilter.runtime import (DegenerateNormalizationError, FilterState, ObservationWindow,
-                                 advance, cut_windows, estimate, functional, run_filter,
-                                 step_matrix, xi_integrals)
+from chaosfilter.runtime import (_BLOCK_ENTRIES, DegenerateNormalizationError, FilterState,
+                                 ObservationWindow, _recursion, advance, cut_windows, estimate,
+                                 functional, run_filter, step_matrix, xi_integrals)
 
-from oracles import hermite_poly
+from oracles import hermite_poly, per_window_recursion
 
 
 def model_setup(model, K, N, n, T, paths, seed, delta_sim=None):
@@ -235,3 +237,117 @@ def test_chaos_estimates_rejects_non_uniform_sampling():
     times[5] += 1e-3
     with pytest.raises(ValueError, match="uniform"):
         experiments.chaos_estimates(pipe, table, times, np.zeros((2, times.size, 1)), 1)
+
+
+# The blocked loop of _recursion forms the step matrices of a block of
+# windows in one stacked product; it must equal the per-window loop it
+# replaced bit for bit, and raise the error that loop raises first.
+
+@pytest.fixture(scope="module", params=[("correlated-ou", 32, 3, 8, 165),
+                                        ("cubic-sensor", 16, 2, 4, 15)], ids=["cli", "mc"])
+def shape(request):
+    """The cli-replay and live shape (K=32, |J|=165) and the mc-cubic one (K=16, |J|=15)."""
+    model, K, N, n, J = request.param
+    cfg = parse_config(f"model.name = {model}\ndiscretization.K = {K}\ndiscretization.N = {N}\n"
+                       f"discretization.n = {n}\ndiscretization.delta = 0.01\n"
+                       f"discretization.T = 0.05\n")
+    pipe = experiments.build_pipeline(cfg)
+    table = experiments.make_table(pipe)
+    assert (table.K, len(table.indices)) == (K, J)
+    return pipe, table
+
+
+@pytest.mark.parametrize("P", [1, 10])
+def test_blocked_recursion_equals_per_window_loop(shape, P):
+    pipe, table = shape
+    block = _BLOCK_ENTRIES // (P * table.K ** 2)
+    assert block > 1
+    rng = np.random.default_rng(P * table.K)
+    for M in (0, 1, block - 1, block, block + 1, 3 * block + 2):
+        xi = rng.normal(size=(P, M, table.n, table.r))
+        args = (table, xi, pipe.p_init, np.arange(M + 1) * pipe.tbasis.delta,
+                pipe.f_coeffs, pipe.one_coeffs)
+        got, want = _recursion(*args), per_window_recursion(*args)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def raises_as_per_window_loop(table, xi, one_coeffs):
+    """The error _recursion raises on xi, checked to equal the per-window loop's."""
+    args = (table, xi, np.array([1.0]), np.arange(xi.shape[1] + 1, dtype=float),
+            np.array([2.0]), one_coeffs)
+    with pytest.raises((FloatingPointError, DegenerateNormalizationError)) as want:
+        per_window_recursion(*args)
+    with pytest.raises((FloatingPointError, DegenerateNormalizationError)) as got:
+        _recursion(*args)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    return got.value
+
+
+# scalar_pipe's table steps p <- (1 + xi / 2) p, so xi = inf makes the
+# state non-finite, xi = -2 collapses the mass to 0, and xi = 1e10 makes a
+# mass of 5e309 under the weight 1e300.
+FAULTS = [(np.inf, 1.0, FloatingPointError, "filter state of path 7 became non-finite"),
+          (-2.0, 1.0, DegenerateNormalizationError,
+           "normalization mass 0.000e+00 of path 7 in window {w} at t={w}.0 is below the floor"),
+          (1e10, 1e300, DegenerateNormalizationError,
+           "normalization mass inf of path 7 in window {w} at t={w}.0 is not finite")]
+
+
+@pytest.mark.parametrize("later", [1, 2], ids=["block1", "block2"])
+@pytest.mark.parametrize("value, one, kind, message", FAULTS,
+                         ids=["non-finite-state", "collapsed-mass", "overflowed-mass"])
+def test_blocked_recursion_raises_as_per_window_loop(later, value, one, kind, message):
+    _, table, _ = scalar_pipe()
+    P = 10
+    block = _BLOCK_ENTRIES // P                  # K = 1
+    xi = np.zeros((P, 2 * block + 5, 1, 1))
+    i = later * block + 3                        # window i + 1, in a later block
+    xi[7, i] = value
+    err = raises_as_per_window_loop(table, xi, np.array([one]))
+    assert type(err) is kind and message.format(w=i + 1) in str(err)
+
+
+def test_non_finite_state_is_named_before_a_low_mass_of_the_same_window():
+    _, table, _ = scalar_pipe()
+    block = _BLOCK_ENTRIES // 10
+    xi = np.zeros((10, block + 9, 1, 1))
+    xi[3, block + 4] = -2.0                      # path 3 collapses in window block + 5
+    xi[6, block + 4] = np.inf                    # path 6 turns non-finite in the same window
+    err = raises_as_per_window_loop(table, xi, np.array([1.0]))
+    assert isinstance(err, FloatingPointError) and "path 6" in str(err)
+    xi[3, block + 3] = -2.0                      # one window earlier, the low mass comes first
+    err = raises_as_per_window_loop(table, xi, np.array([1.0]))
+    assert isinstance(err, DegenerateNormalizationError)
+    assert f"of path 3 in window {block + 4} " in str(err)
+    err = raises_as_per_window_loop(table, xi, np.array([0.0]))    # no mass from the start
+    assert "of path 0 in window 0 at t=0.0" in str(err)
+
+
+# The blocked loop rests on a property of numpy's stacked matmul: each row
+# of a stacked product makes the same BLAS call as that row on its own.  A
+# numpy or BLAS change that breaks it fails here, by name, before the
+# benchmark's bit-for-bit checks see it.
+
+@pytest.mark.parametrize("K, J", [(32, 165), (16, 15)], ids=["cli", "mc"])
+@pytest.mark.parametrize("P", [1, 10])
+def test_stacked_matmul_rows_equal_lone_products(K, J, P):
+    rng = np.random.default_rng(K * P)
+    c = _BLOCK_ENTRIES // (P * K * K)
+    W, flows = rng.normal(size=(P, c, J)), rng.normal(size=(J, K * K))
+    Q = np.matmul(W[:, :, None, :], flows)                  # the block's step matrices
+    assert np.array_equal(Q.reshape(-1, 1, K * K), np.matmul(W.reshape(-1, 1, J), flows))
+    states, f = rng.normal(size=(P, c + 1, K)), rng.normal(size=K)
+    reads = np.matmul(states[:, :, None, :], f)[..., 0]     # masses or estimates, all windows
+    p = rng.normal(size=(P, K))
+    Qs = Q.reshape(P, c, K, K)
+    for i in range(c):
+        step = np.matmul(Qs[:, i], p[:, :, None])[:, :, 0]  # p <- Q p on the strided block
+        alone = np.matmul(np.ascontiguousarray(Qs[:, i]), p[:, :, None])[:, :, 0]
+        assert np.array_equal(step, alone)
+        for j in range(P):
+            assert np.array_equal(Q[j, i], np.matmul(W[j, i][None], flows))
+            assert np.array_equal(step[j], np.matmul(Qs[j, i], p[j]))
+    for j in range(P):
+        for i in range(c + 1):
+            assert reads[j, i] == np.matmul(states[j, i][None], f)[0]

@@ -9,9 +9,10 @@ from chaosfilter import experiments
 from chaosfilter.cli import main
 from chaosfilter.config import ConfigError, parse_config
 from chaosfilter.hermite import basis_fields, build_basis
-from chaosfilter.propagator import TemporalBasis, load_table
+from chaosfilter.propagator import TemporalBasis, cosine_basis, load_table
 from chaosfilter.reference import compare_on_path, kalman_bucy
-from chaosfilter.runtime import read_observations, write_observations
+from chaosfilter.runtime import (_BLOCK_ENTRIES, cut_windows, read_observations, run_filter,
+                                 write_estimate_csv, write_observations, write_state_csv)
 
 BASE = """
 model.name = ou-linear
@@ -153,6 +154,74 @@ def test_simulate_filter_compare_pipeline(tmp_path):
     assert summary[0] == "rmse,max_abs"
     rmse = float(summary[1].split(",")[0])
     assert rmse < 0.5
+
+
+# filter cuts no window objects: it takes the replay's sample arrays whole.
+# Its CSVs must be those of run_filter over cut_windows, byte for byte.
+
+@pytest.mark.parametrize("t0", [0.0, 0.03], ids=["from-0", "first-time-inside-a-window"])
+def test_filter_csvs_equal_run_filter_over_cut_windows(tmp_path, monkeypatch, t0):
+    text = (BASE.replace("discretization.K = 6", "discretization.K = 32")
+            .replace("discretization.T = 0.4", "discretization.T = 7.0")
+            .replace("discretization.quad_m = 32", "discretization.quad_m = 64"))
+    cfg_path = write_cfg(tmp_path, text)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    steps = np.random.default_rng(4).normal(scale=0.08, size=(1121, 1))
+    write_observations(obs, 0.00625, t0 + 0.00625 * np.arange(1121), np.cumsum(steps, axis=0))
+    with monkeypatch.context() as m:     # filter needs the projections, not the Galerkin matrices
+        m.setattr(experiments, "assemble", None)
+        assert main(["filter", "--config", cfg_path, "--table", str(table),
+                     "--obs", str(obs), "--out", str(tmp_path / "run")]) == 0
+    cfg = parse_config(text)
+    pipe = experiments.build_pipeline(cfg)
+    _, _, times, values = read_observations(obs)
+    windows = cut_windows(times, values, cfg.delta)
+    assert len(windows) == 70 > _BLOCK_ENTRIES // 32 ** 2     # several blocks of windows
+    run = run_filter(load_table(table), cosine_basis(cfg.delta, cfg.n), pipe.p_init, windows,
+                     f_coeffs=pipe.f_coeffs, one_coeffs=pipe.one_coeffs)
+    write_state_csv(tmp_path / "states.csv", run)
+    write_estimate_csv(tmp_path / "estimates.csv", run)
+    for name in ("states.csv", "estimates.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+GRID = np.linspace(0.0, 0.4, 65)
+
+
+@pytest.mark.parametrize("times, message", [
+    (GRID[:62], f"13 samples from t={GRID[49]:.17g} do not fill a window of length 0.1"),
+    (np.where(np.arange(65) == 5, GRID + 1e-4, GRID), "window sampling must be uniform"),
+    (GRID[:1], "cutting windows needs at least two samples, got one"),
+    (np.zeros(5), "window times must be strictly increasing"),
+    (GRID[::4], "window spacing 0.025 too coarse: need <= delta/(8 n) = 0.00625"),
+], ids=["partial-window", "non-uniform", "single-sample", "repeated-time", "too-coarse"])
+def test_replay_off_the_window_grid_is_validation_failure(tmp_path, capsys, times, message):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, times, np.zeros((times.size, 1)))
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert f"invalid input [filter]: {obs}: {message}" in capsys.readouterr().err
+
+
+def test_filter_rejects_an_invalid_model_as_build_pipeline_does(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, GRID, np.zeros((65, 1)))
+    narrow = BASE + "model.P0 = 1e-6\n"        # p0 too narrow for the quadrature grid
+    message = "p0 quadrature mass 0.000000 is not within 1e-3 of 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiments.build_pipeline(parse_config(narrow))
+    capsys.readouterr()
+    assert main(["filter", "--config", write_cfg(tmp_path, narrow, name="narrow.cfg"),
+                 "--table", str(table), "--obs", str(obs), "--out", str(tmp_path / "x")]) == 1
+    assert f"error [filter]: {message}" in capsys.readouterr().err
 
 
 def test_filter_empty_observations(tmp_path):
