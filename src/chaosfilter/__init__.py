@@ -14,14 +14,14 @@ from .hermite import (QuadratureGrid, SpatialBasis, build_basis, eval_basis, gau
                       gram_matrix, lambda_power_norm, project)
 from .models import ModelBundle, build_model, correlated_ou, cubic_sensor, ou_linear
 from .multiindex import (CharacteristicSet, MultiIndex, characteristic_set, empty_index,
-                         enumerate_truncated, factorial, lower)
+                         enumerate_counts, enumerate_truncated, factorial, lower)
 from .propagator import (PropagatorTable, TemporalBasis, brownian_second_moment,
                          closed_form_order1, cosine_basis, load_table, parseval_mass,
-                         precompute_table, save_table, solve_phi, truncation_certificate)
+                         precompute_table, save_table, truncation_certificate)
 from .reference import ComparisonSummary, LinearModel, compare_on_path, kalman_bucy
 from .runtime import (DegenerateNormalizationError, FilterRun, FilterState, ObservationWindow,
                       advance, cut_windows, density_at, estimate, functional, read_observations,
                       run_filter, step_matrix, write_observations, xi_integrals)
-from .simulate import SimulationConfig, sample_initial, simulate, simulate_paths
+from .simulate import SimulationConfig, sample_initial, simulate_paths
 
 __version__ = "0.1.0"

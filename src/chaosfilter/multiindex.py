@@ -6,12 +6,14 @@ finitely many counts are nonzero and zeros are never stored.  These
 objects do the bookkeeping for truncated chaos expansions: enumeration
 of the truncated index set, characteristic sets, the table of Hermite
 polynomials behind the Wick products xi_alpha, and the text form of an
-index.
+index.  The truncated set itself is stored as a count array (see
+enumerate_counts); MultiIndex objects are built from its rows on demand.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +35,7 @@ class MultiIndex:
     r: int
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"channel count r must be >= 1, got {self.r}")
-        prev = None
-        for (k, l), count in self.entries:
-            if k < 1 or not 1 <= l <= self.r:
-                raise ValueError(f"slot ({k}, {l}) out of range for r={self.r}")
-            if count < 1:
-                raise ValueError(f"stored count must be >= 1, got {count} at ({k}, {l})")
-            if prev is not None and (k, l) <= prev:
-                raise ValueError("entries must be strictly sorted by (k, l)")
-            prev = (k, l)
+        _check_entries(self.entries, self.r)
 
     @classmethod
     def from_dict(cls, counts: dict[tuple[int, int], int], r: int) -> "MultiIndex":
@@ -73,53 +65,69 @@ class MultiIndex:
         return to_line(self)
 
 
+def _check_entries(entries, r: int) -> None:
+    """A ValueError unless entries are those of a MultiIndex with r channels."""
+    if r < 1:
+        raise ValueError(f"channel count r must be >= 1, got {r}")
+    prev = None
+    for (k, l), count in entries:
+        if k < 1 or not 1 <= l <= r:
+            raise ValueError(f"slot ({k}, {l}) out of range for r={r}")
+        if count < 1:
+            raise ValueError(f"stored count must be >= 1, got {count} at ({k}, {l})")
+        if prev is not None and (k, l) <= prev:
+            raise ValueError("entries must be strictly sorted by (k, l)")
+        prev = (k, l)
+
+
 def empty_index(r: int) -> MultiIndex:
     return MultiIndex((), r)
 
 
 def _compositions_desc(total, slots):
     # Compositions of `total` into `slots` parts, descending lexicographic.
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, slots - 1):
-            yield (first,) + rest
+    # The next one moves a unit from the last nonzero part before the final
+    # part into the part after it, together with the whole final part.
+    vec = [total] + [0] * (slots - 1)
+    while True:
+        yield tuple(vec)
+        i = slots - 2
+        while i >= 0 and not vec[i]:
+            i -= 1
+        if i < 0:
+            return
+        vec[i] -= 1
+        rest, vec[-1] = vec[-1], 0
+        vec[i + 1] = rest + 1
 
 
-def _from_slot_vector(vec, n, r):
-    counts = {}
-    for s, c in enumerate(vec):
-        if c:
-            counts[(s // r + 1, s % r + 1)] = c
-    return MultiIndex.from_dict(counts, r)
+def row_entries(row, r: int) -> tuple:
+    """((k, l), count) entries of a count row: column (k-1) r + l-1 holds alpha_k^l."""
+    return tuple(((s // r + 1, s % r + 1), c) for s, c in enumerate(row) if c)
 
 
-def slot_counts(indices, n: int, r: int) -> np.ndarray:
-    """Inverse of _from_slot_vector, row by row: column (k-1)*r + l-1 holds alpha_k^l."""
-    out = np.zeros((len(indices), n * r), dtype=np.intp)
-    for a, alpha in enumerate(indices):
-        for (k, l), c in alpha.entries:
-            out[a, (k - 1) * r + l - 1] = c
-    return out
+def canonical_rows(N: int, n: int, r: int):
+    """Count rows of every index with |alpha| <= N and d(alpha) <= n, in canonical order.
 
-
-def enumerate_truncated(N: int, n: int, r: int) -> list[MultiIndex]:
-    """All multi-indices with |alpha| <= N and d(alpha) <= n, in canonical order.
-
-    The order is graded by |alpha|; within a grade, the count vectors over
-    the flattened slots (k-1)*r + l are listed in descending lexicographic
-    order, so mass on low temporal modes and channels comes first.  The
-    list has length binom(n*r + N, N).
+    The order is graded by |alpha|; within a grade, the rows are listed in
+    descending lexicographic order, so mass on low temporal modes and
+    channels comes first.  There are binom(n*r + N, N) of them, each a
+    tuple of n*r counts.
     """
     if N < 0 or n < 1 or r < 1:
         raise ValueError(f"need N >= 0, n >= 1, r >= 1, got N={N}, n={n}, r={r}")
-    slots = n * r
-    out = []
     for grade in range(N + 1):
-        for vec in _compositions_desc(grade, slots):
-            out.append(_from_slot_vector(vec, n, r))
-    return out
+        yield from _compositions_desc(grade, n * r)
+
+
+def enumerate_counts(N: int, n: int, r: int) -> np.ndarray:
+    """(binom(n*r + N, N), n*r) array of canonical_rows: the truncated index set."""
+    return np.array(list(canonical_rows(N, n, r)), dtype=np.intp)
+
+
+def enumerate_truncated(N: int, n: int, r: int) -> list[MultiIndex]:
+    """The indices of canonical_rows as MultiIndex objects, in the same order."""
+    return [MultiIndex(row_entries(row, r), r) for row in canonical_rows(N, n, r)]
 
 
 @dataclass(frozen=True)
@@ -136,41 +144,34 @@ class CharacteristicSet:
         return len(self.pairs)
 
     def to_multiindex(self, r: int) -> MultiIndex:
-        counts: dict[tuple[int, int], int] = {}
-        for pair in self.pairs:
-            counts[pair] = counts.get(pair, 0) + 1
-        return MultiIndex.from_dict(counts, r)
+        return MultiIndex.from_dict(Counter(self.pairs), r)
 
 
 def characteristic_set(alpha: MultiIndex) -> CharacteristicSet:
-    pairs = []
-    for (k, l), c in alpha.entries:
-        pairs.extend([(k, l)] * c)
-    return CharacteristicSet(tuple(pairs))
+    return CharacteristicSet(tuple(kl for kl, c in alpha.entries for _ in range(c)))
 
 
 def lower(alpha: MultiIndex, k: int, l: int) -> MultiIndex:
     """Decrement entry (k, l) toward zero, leaving the rest unchanged."""
     counts = dict(alpha.entries)
-    c = counts.get((k, l), 0)
-    if c <= 1:
-        counts.pop((k, l), None)
-    else:
-        counts[(k, l)] = c - 1
-    return MultiIndex.from_dict({kl: v for kl, v in counts.items()}, alpha.r)
+    counts[(k, l)] = max(counts.get((k, l), 0) - 1, 0)     # from_dict drops the zero
+    return MultiIndex.from_dict(counts, alpha.r)
+
+
+def count_factorial(counts) -> int:
+    """The product of c! over an index's per-slot counts: alpha! (1 for none)."""
+    out = 1
+    for c in counts:
+        if c > MAX_ENTRY_FOR_FACTORIAL:
+            raise ValueError(f"entry count {c} exceeds the factorial guard "
+                             f"({MAX_ENTRY_FOR_FACTORIAL}); refusing to overflow")
+        out *= math.factorial(c)
+    return out
 
 
 def factorial(alpha: MultiIndex) -> int:
     """alpha! as the product of per-slot count factorials (1 for empty)."""
-    out = 1
-    for _, c in alpha.entries:
-        if c > MAX_ENTRY_FOR_FACTORIAL:
-            raise ValueError(
-                f"entry count {c} exceeds the factorial guard "
-                f"({MAX_ENTRY_FOR_FACTORIAL}); refusing to overflow"
-            )
-        out *= math.factorial(c)
-    return out
+    return count_factorial(c for _, c in alpha.entries)
 
 
 def hermite_table(N: int, x) -> np.ndarray:
@@ -193,24 +194,33 @@ def hermite_table(N: int, x) -> np.ndarray:
     return out
 
 
-def to_line(alpha: MultiIndex) -> str:
-    """Serialize as 'k:l:count' triples separated by spaces, '-' if empty."""
-    if alpha.is_empty():
-        return "-"
-    return " ".join(f"{k}:{l}:{c}" for (k, l), c in alpha.entries)
+def format_entries(entries) -> str:
+    """'k:l:count' triples separated by spaces, '-' if empty: the text form of an index."""
+    return " ".join(f"{k}:{l}:{c}" for (k, l), c in entries) or "-"
 
 
-def from_line(line: str, r: int) -> MultiIndex:
-    """Inverse of to_line; a ValueError for a line to_line cannot write."""
+def parse_entries(line: str, r: int) -> tuple:
+    """Inverse of format_entries; a ValueError for a line format_entries cannot write."""
     line = line.strip()
-    if line == "-":
-        return empty_index(r)
     if not line:
         raise ValueError("blank index line (the empty index is '-')")
     counts = {}
-    for tok in line.split():
-        k, l, c = (int(p) for p in tok.split(":"))
-        if c < 1 or (k, l) in counts:
-            raise ValueError(f"entry {tok!r}: each slot appears once, with a count >= 1")
-        counts[(k, l)] = c
-    return MultiIndex.from_dict(counts, r)
+    if line != "-":
+        for tok in line.split():
+            k, l, c = map(int, tok.split(":"))
+            if c < 1 or (k, l) in counts:
+                raise ValueError(f"entry {tok!r}: each slot appears once, with a count >= 1")
+            counts[(k, l)] = c
+    entries = tuple(sorted(counts.items()))
+    _check_entries(entries, r)
+    return entries
+
+
+def to_line(alpha: MultiIndex) -> str:
+    """The text form of alpha (format_entries)."""
+    return format_entries(alpha.entries)
+
+
+def from_line(line: str, r: int) -> MultiIndex:
+    """Inverse of to_line (parse_entries)."""
+    return MultiIndex(parse_entries(line, r), r)

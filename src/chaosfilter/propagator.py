@@ -14,14 +14,15 @@ online step then needs only dense matrix accumulation.
 
 Because each right-hand side reads only indices one layer down, a single
 classical 4th-order pass over the stacked system integrates every layer
-consistently; the dependency structure is exposed for inspection through
-coupling_groups.
+consistently.  The index set is the count array of
+multiindex.enumerate_counts throughout, from the lowering to the file.
 """
 
 from __future__ import annotations
 
 import contextvars
 import io
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +33,8 @@ import numpy as np
 
 from .galerkin import GalerkinSystem
 from .hermite import SpatialBasis, basis_fields, decode_header, encode_header
-from .multiindex import (MultiIndex, enumerate_truncated, factorial, from_line, lower, slot_counts,
-                         to_line)
+from .multiindex import (MultiIndex, canonical_rows, count_factorial, enumerate_counts,
+                         format_entries, parse_entries, row_entries)
 
 
 @dataclass(frozen=True)
@@ -89,28 +90,6 @@ def default_substeps(n: int) -> int:
     return max(64, 8 * n)
 
 
-def coupling_groups(indices):
-    """Lowering structure of an index list, grouped by slot (k, l).
-
-    Returns {(k, l): (coeffs, dst, src)} with integer positions into the
-    list: d phi[dst] picks up coeff * m_k(s) * B_l phi[src].  Every source
-    sits exactly one layer below its destination.
-    """
-    pos = {idx: i for i, idx in enumerate(indices)}
-    groups: dict[tuple[int, int], list] = {}
-    for i, alpha in enumerate(indices):
-        for (k, l), c in alpha.entries:
-            low = lower(alpha, k, l)
-            if low not in pos:
-                raise ValueError(f"index list is not closed under lowering at {alpha}")
-            groups.setdefault((k, l), []).append((float(c), i, pos[low]))
-    out = {}
-    for kl, items in groups.items():
-        co, dst, src = zip(*items)
-        out[kl] = (np.array(co), np.array(dst, dtype=int), np.array(src, dtype=int))
-    return out
-
-
 def rk4(rhs, y0, h: float, steps: int):
     """Classical 4th-order Runge-Kutta for y' = rhs(s, y) from s = 0; checks finiteness.
 
@@ -138,29 +117,32 @@ def rk4(rhs, y0, h: float, steps: int):
     return y
 
 
-def _lowering(indices, r: int):
+def _lowering(counts, r: int):
     """Fixed pattern of the lowering operator C(s) of _integrate_stacked.
 
-    C(s) is a CSR matrix of shape (|J|, r n_src) holding coeff * m_k(s)
-    at row dst, column (l-1) n_src + src for each coupling of
-    coupling_groups; n_src = 1 + the largest source, so the top layer,
-    which is never a source, is left out.  Returns (C, coeff, mode) with
-    coeff and the 0-based mode k-1 aligned with C.data, or None when
+    Count row dst couples to the row src one layer below it that has one
+    count less in slot (k-1) r + l-1, with coeff that count.  C(s) is a
+    CSR matrix of shape (|J|, r n_src) holding coeff * m_k(s) at row dst,
+    column (l-1) n_src + src; n_src = 1 + the largest source, so the top
+    layer, which is never a source, is left out.  Returns (C, coeff, mode)
+    with coeff and the 0-based mode k-1 aligned with C.data, or None when
     nothing couples (N = 0).
     """
     from scipy import sparse    # imported here for cold start: the online half never loads scipy
-    groups = coupling_groups(indices)
-    if not groups:
+    dst, slot = np.nonzero(counts)
+    if not dst.size:
         return None
-    sizes = [len(co) for co, _, _ in groups.values()]
-    mode, chan = (np.repeat(v, sizes) for v in zip(*groups))
-    co, dst, src = (np.concatenate(parts) for parts in zip(*groups.values()))
+    low = counts[dst]
+    low[np.arange(dst.size), slot] -= 1
+    pos = {row.tobytes(): i for i, row in enumerate(counts)}
+    src = np.array([pos[row.tobytes()] for row in low])
     n_src = int(src.max()) + 1
-    col = (chan - 1) * n_src + src
+    col = slot % r * n_src + src
     order = np.lexsort((col, dst))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(indices)))])
-    C = sparse.csr_array((co[order], col[order], indptr), shape=(len(indices), r * n_src))
-    return C, co[order], mode[order] - 1
+    co = counts[dst, slot].astype(float)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(counts)))])
+    C = sparse.csr_array((co, col[order], indptr), shape=(len(counts), r * n_src))
+    return C, co, (slot // r)[order]
 
 
 def _stage_data(tbasis: TemporalBasis, coeff, mode, h: float, steps: int) -> dict:
@@ -200,7 +182,7 @@ def _column_blocks(shape) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S0, substeps):
+def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, counts, S0, substeps):
     """RK4 over the stacked flows S (|J|, K, cols), in column blocks on threads.
 
     Each right-hand side is the sparse lowering C(s) of _lowering, with
@@ -216,7 +198,7 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S
     pass would.
     """
     A, B = system.A, system.B
-    lowering = _lowering(indices, system.r)
+    lowering = _lowering(counts, system.r)
     h = tbasis.delta / substeps
     if lowering is not None:
         C0, coeff, mode = lowering
@@ -261,32 +243,13 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, indices, S
     return S
 
 
-def solve_phi(system: GalerkinSystem, tbasis: TemporalBasis, alpha: MultiIndex, zeta,
-              substeps: int | None = None) -> np.ndarray:
-    """phi_alpha(delta; zeta) by one 4th-order pass over the truncated set holding alpha."""
-    if substeps is None:
-        substeps = default_substeps(tbasis.n)
-    if alpha.order > tbasis.n:
-        raise ValueError(f"alpha uses mode {alpha.order} beyond the basis ({tbasis.n})")
-    if alpha.r != system.r:
-        raise ValueError(f"alpha has r={alpha.r} channels but the system has r={system.r}")
-    zeta = np.asarray(zeta, dtype=float)
-    if zeta.shape != (system.K,):
-        raise ValueError(f"zeta of shape {zeta.shape} does not match the system's K={system.K}")
-    # Closed under lowering, and the canonical order starts with the empty index.
-    indices = enumerate_truncated(alpha.length, max(alpha.order, 1), alpha.r)
-    S0 = np.zeros((len(indices), system.K, 1))
-    S0[0, :, 0] = zeta
-    S = _integrate_stacked(system, tbasis, indices, S0, substeps)
-    return S[indices.index(alpha), :, 0].copy()
-
-
 @dataclass(frozen=True)
 class PropagatorTable:
     """Per-index flow matrices over the truncated chaos set.
 
-    matrices[a][:, k] is phi_alpha(delta; u^k) for the a-th index in the
-    canonical enumeration and the k-th standard unit vector.
+    matrices[a][:, k] is phi_alpha(delta; u^k) for the index of count row
+    counts[a] (multiindex.enumerate_counts) and the k-th standard unit
+    vector.  counts is stored as a read-only copy, so pick cannot go stale.
     """
 
     K: int
@@ -296,16 +259,21 @@ class PropagatorTable:
     n: int
     substeps: int
     basis: SpatialBasis
-    indices: tuple[MultiIndex, ...]
+    counts: np.ndarray      # (n_indices, n*r): alpha_k^l at column (k-1) r + l-1
     matrices: np.ndarray    # (n_indices, K, K)
+
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.intp)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def indices(self) -> tuple[MultiIndex, ...]:
+        """The rows of counts as MultiIndex objects, for offline bookkeeping."""
+        return tuple(MultiIndex(row_entries(row, self.r), self.r) for row in self.counts.tolist())
 
     def matrix_for(self, alpha: MultiIndex) -> np.ndarray:
         return self.matrices[self.indices.index(alpha)]
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """(n_indices, n*r) per-slot counts of the indices (multiindex.slot_counts)."""
-        return slot_counts(self.indices, self.n, self.r)
 
     @cached_property
     def pick(self) -> np.ndarray:
@@ -321,7 +289,7 @@ class PropagatorTable:
         slots = counts.shape[1]
         a, s = np.nonzero(counts)                      # row-major: slots ascend within an index
         first = np.searchsorted(a, a)                  # position of each index's first used slot
-        out = np.zeros((max(1, min(self.N, slots)), len(self.indices)), dtype=np.intp)
+        out = np.zeros((max(1, min(self.N, slots)), len(counts)), dtype=np.intp)
         out[np.arange(a.size) - first, a] = counts[a, s] * slots + s
         return out
 
@@ -337,13 +305,12 @@ def precompute_table(system: GalerkinSystem, tbasis: TemporalBasis, N: int, n: i
         raise ValueError(f"truncation n={n} exceeds the temporal basis ({tbasis.n})")
     if substeps is None:
         substeps = default_substeps(n)
-    indices = enumerate_truncated(N, n, system.r)
-    S0 = np.zeros((len(indices), system.K, system.K))
+    counts = enumerate_counts(N, n, system.r)
+    S0 = np.zeros((len(counts), system.K, system.K))
     S0[0] = np.eye(system.K)     # canonical order starts with the empty index
-    S = _integrate_stacked(system, tbasis, indices, S0, substeps)
+    S = _integrate_stacked(system, tbasis, counts, S0, substeps)
     return PropagatorTable(K=system.K, r=system.r, delta=tbasis.delta, N=N, n=n,
-                           substeps=substeps, basis=system.basis,
-                           indices=tuple(indices), matrices=S)
+                           substeps=substeps, basis=system.basis, counts=counts, matrices=S)
 
 
 def closed_form_order1(system: GalerkinSystem, tbasis: TemporalBasis, alpha: MultiIndex,
@@ -385,9 +352,8 @@ def parseval_mass(table: PropagatorTable, zeta):
     zeta = np.asarray(zeta, dtype=float)
     vectors = table.matrices @ zeta
     by_layer: dict[int, float] = {}
-    for alpha, v in zip(table.indices, vectors):
-        m = float(v @ v) / factorial(alpha)
-        by_layer[alpha.length] = by_layer.get(alpha.length, 0.0) + m
+    for row, v in zip(table.counts.tolist(), vectors):
+        by_layer[sum(row)] = by_layer.get(sum(row), 0.0) + float(v @ v) / count_factorial(row)
     return sum(by_layer.values()), by_layer
 
 
@@ -433,7 +399,7 @@ def _certificate_pencil(system: GalerkinSystem, table: PropagatorTable):
                          f"K={system.K}, r={system.r}")
     G = _moment_flow(system.A.T, system.B.transpose(0, 2, 1), np.eye(system.K), table.delta,
                      table.substeps)
-    scale = np.array([1.0 / math.sqrt(factorial(alpha)) for alpha in table.indices])
+    scale = np.array([1.0 / math.sqrt(count_factorial(row)) for row in table.counts.tolist()])
     S = (table.matrices * scale[:, None, None]).reshape(-1, table.K)
     return G, S.T @ S
 
@@ -466,12 +432,12 @@ def save_table(path, table: PropagatorTable) -> None:
     header = encode_header({
         "format": "binary", "K": table.K, "r": table.r,
         "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
-        "basis_d": b.d, **basis_fields(b), "indices": len(table.indices)})
+        "basis_d": b.d, **basis_fields(b), "indices": len(table.counts)})
     mats = np.ascontiguousarray(table.matrices, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for alpha, mat in zip(table.indices, mats):
-            fh.write((to_line(alpha) + "\n").encode("ascii"))
+        for row, mat in zip(table.counts.tolist(), mats):
+            fh.write((format_entries(row_entries(row, table.r)) + "\n").encode("ascii"))
             fh.write(mat.tobytes(order="C"))
 
 
@@ -485,26 +451,28 @@ def _line(fh):
     return line[:-1].decode("ascii", errors="replace") if line.endswith(b"\n") else None
 
 
-def _index(path, header: dict, a: int, line: str | None):
-    """The index on line `line` of block a; a ValueError names a missing or bad line."""
+def _entries(path, header: dict, a: int, line: str | None):
+    """The entries of index line `line` of block a; a ValueError names a missing or bad line."""
     count = header["indices"]
     if line is None:
         raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
                          f"index blocks, found {a}")
     try:
-        alpha = from_line(line, header["r"])
+        entries = parse_entries(line, header["r"])
     except ValueError as exc:
         raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
                          f"triples or '-', found {line!r} ({exc})") from None
-    if alpha.length > header["N"] or alpha.order > header["n"]:
+    # entries are sorted by (k, l), so the last one holds the largest mode
+    length, order = sum(c for _, c in entries), entries[-1][0][0] if entries else 0
+    if length > header["N"] or order > header["n"]:
         raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
-                         f"|alpha| = {alpha.length} and d(alpha) = {alpha.order}, "
+                         f"|alpha| = {length} and d(alpha) = {order}, "
                          f"expected at most N = {header['N']} and n = {header['n']}")
-    return alpha
+    return entries
 
 
 def _walk(path, fh, header: dict, K: int):
-    """(indices, mats) of every block, read one at a time.
+    """(lines, entries, mats) of every block, read one at a time.
 
     The matrices are stacked once all are read, so a header that declares
     more than the file holds costs no more memory than the file.  Raises a
@@ -512,15 +480,39 @@ def _walk(path, fh, header: dict, K: int):
     order.
     """
     count, nbytes = header["indices"], K * K * 8
-    indices, mats = [], []
+    lines, entries, mats = [], [], []
     for a in range(count):
-        indices.append(_index(path, header, a, _line(fh)))
+        lines.append(_line(fh))
+        entries.append(_entries(path, header, a, lines[-1]))
         raw = fh.read(nbytes)
         if len(raw) < nbytes:
             raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
                              f"{nbytes} bytes, found {len(raw)}")
         mats.append(np.frombuffer(raw, dtype="<f8"))
-    return indices, np.array(mats, dtype=float).reshape(count, K, K)
+    return lines, entries, np.array(mats, dtype=float).reshape(count, K, K)
+
+
+def _canonical_counts(path, header: dict, lines, entries) -> np.ndarray:
+    """enumerate_counts(N, n, r) of the header if the entries list it; else a ValueError.
+
+    The error names the first index line that differs, what it holds and
+    the line expected there.  The walk stops one row past the blocks read,
+    so a header with a huge N costs no more than the file.
+    """
+    N, n, r, count = header["N"], header["n"], header["r"], header["indices"]
+    try:
+        want = list(itertools.islice(canonical_rows(N, n, r), count + 1))
+    except ValueError as exc:
+        raise ValueError(f"{path}: table header: {exc}") from None
+    a = next((a for a, (got, row) in enumerate(zip(entries, want)) if got != row_entries(row, r)),
+             min(count, len(want)))
+    if a == count == len(want):
+        return np.array(want, dtype=np.intp)
+    found = repr(lines[a]) if a < count else "no line"
+    expected = repr(format_entries(row_entries(want[a], r))) if a < len(want) else "no line"
+    raise ValueError(f"{path}: index line {a + 1} of {count}: found {found}, expected "
+                     f"{expected}: the blocks must list the index set of N = {N}, n = {n}, "
+                     f"r = {r} in canonical order")
 
 
 def _reject_trailing(path, fh, count: int) -> None:
@@ -540,8 +532,9 @@ def load_table(path) -> PropagatorTable:
 
     A truncated or malformed file, or one whose format is not binary,
     raises a ValueError naming the file and the header key or the index
-    block; content other than whitespace after the declared blocks, the
-    byte offset it starts at.
+    block; index blocks that do not list the header's canonical index set,
+    the first line that differs; content other than whitespace after the
+    declared blocks, the byte offset it starts at.
     """
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
@@ -552,8 +545,9 @@ def load_table(path) -> PropagatorTable:
     header, basis = decode_header(path, lines, {
         "format": ("binary",), "r": int, "delta": float, "N": int, "n": int,
         "substeps": int, "indices": int})
-    indices, mats = _walk(path, fh, header, basis.K)
+    lines, entries, mats = _walk(path, fh, header, basis.K)
+    counts = _canonical_counts(path, header, lines, entries)
     _reject_trailing(path, fh, header["indices"])
     return PropagatorTable(K=basis.K, r=header["r"], delta=header["delta"], N=header["N"],
                            n=header["n"], substeps=header["substeps"], basis=basis,
-                           indices=tuple(indices), matrices=mats)
+                           counts=counts, matrices=mats)

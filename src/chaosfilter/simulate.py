@@ -125,12 +125,6 @@ def simulate_paths(config: SimulationConfig, npaths: int, x0=None):
     return times, Xout, Yout
 
 
-def simulate(config: SimulationConfig, x0=None):
-    """Single path; see simulate_paths.  Returns (times, X (n+1, d), Y (n+1, r))."""
-    times, X, Y = simulate_paths(config, 1, x0=None if x0 is None else np.atleast_1d(x0))
-    return times, X[0], Y[0]
-
-
 def write_truth(path, times, x) -> None:
     """Truth file: 'delta_obs=', 'd=', then one 't x_1 .. x_d' line per sample."""
     dt = float(times[1] - times[0]) if len(times) > 1 else 0.0

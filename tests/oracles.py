@@ -2,9 +2,11 @@
 
 Pointwise operators, a one-path Euler driver, the scalar Hermite
 polynomial with the dict-keyed Wick product built on it, a Sobolev norm
-probe, and the per-window loop of the online recursion.  The library
-computes each of these in a batched form; the tests check it against
-these.
+probe, the per-window loop of the online recursion, a one-path
+simulation, a one-index flow, and the index set's count array and
+lowering structure built from MultiIndex objects.  The library computes
+each of these in a batched form or on the count array; the tests check
+it against these.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ import numpy as np
 
 from chaosfilter.galerkin import FilterModel, _euler_reports
 from chaosfilter.hermite import QuadratureGrid, SpatialBasis, basis_tables
-from chaosfilter.multiindex import MultiIndex, factorial, hermite_table
+from chaosfilter.multiindex import (MultiIndex, enumerate_counts, factorial, hermite_table, lower,
+                                    row_entries)
+from chaosfilter.propagator import _integrate_stacked, default_substeps
 from chaosfilter.runtime import (_FLOOR_REL, DegenerateNormalizationError, FilterState,
                                  _chaos_weights, _hermite_table, _mass_fault, functional)
+from chaosfilter.simulate import SimulationConfig, simulate_paths
 
 
 def apply_generator(model: FilterModel, g, x, *, grad, hess) -> float:
@@ -144,3 +149,77 @@ def per_window_recursion(table, xi, p_init, times, f_coeffs, one_coeffs, floor_r
                     f"at t={times[i]} is {_mass_fault(den[bad], floor)}")
             ests[:, i] = np.matmul(p[:, None, :], f_coeffs)[:, 0] / den
     return states, masses, ests
+
+
+def simulate(config: SimulationConfig, x0=None):
+    """Single path; see simulate_paths.  Returns (times, X (n+1, d), Y (n+1, r))."""
+    times, X, Y = simulate_paths(config, 1, x0=None if x0 is None else np.atleast_1d(x0))
+    return times, X[0], Y[0]
+
+
+def slot_counts(indices, n: int, r: int) -> np.ndarray:
+    """Count array of an index list: column (k-1)*r + l-1 of row a holds alpha_k^l."""
+    out = np.zeros((len(indices), n * r), dtype=np.intp)
+    for a, alpha in enumerate(indices):
+        for (k, l), c in alpha.entries:
+            out[a, (k - 1) * r + l - 1] = c
+    return out
+
+
+def coupling_groups(indices):
+    """Lowering structure of an index list, grouped by slot (k, l).
+
+    Returns {(k, l): (coeffs, dst, src)} with integer positions into the
+    list: d phi[dst] picks up coeff * m_k(s) * B_l phi[src].  Every source
+    sits exactly one layer below its destination.
+    """
+    pos = {idx: i for i, idx in enumerate(indices)}
+    groups: dict[tuple[int, int], list] = {}
+    for i, alpha in enumerate(indices):
+        for (k, l), c in alpha.entries:
+            low = lower(alpha, k, l)
+            if low not in pos:
+                raise ValueError(f"index list is not closed under lowering at {alpha}")
+            groups.setdefault((k, l), []).append((float(c), i, pos[low]))
+    out = {}
+    for kl, items in groups.items():
+        co, dst, src = zip(*items)
+        out[kl] = (np.array(co), np.array(dst, dtype=int), np.array(src, dtype=int))
+    return out
+
+
+def coupling_lowering(indices, r: int):
+    """propagator._lowering as it was built from coupling_groups of an index list."""
+    from scipy import sparse
+    groups = coupling_groups(indices)
+    if not groups:
+        return None
+    sizes = [len(co) for co, _, _ in groups.values()]
+    mode, chan = (np.repeat(v, sizes) for v in zip(*groups))
+    co, dst, src = (np.concatenate(parts) for parts in zip(*groups.values()))
+    n_src = int(src.max()) + 1
+    col = (chan - 1) * n_src + src
+    order = np.lexsort((col, dst))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(indices)))])
+    C = sparse.csr_array((co[order], col[order], indptr), shape=(len(indices), r * n_src))
+    return C, co[order], mode[order] - 1
+
+
+def solve_phi(system, tbasis, alpha: MultiIndex, zeta, substeps: int | None = None) -> np.ndarray:
+    """phi_alpha(delta; zeta) by one 4th-order pass over the truncated set holding alpha."""
+    if substeps is None:
+        substeps = default_substeps(tbasis.n)
+    if alpha.order > tbasis.n:
+        raise ValueError(f"alpha uses mode {alpha.order} beyond the basis ({tbasis.n})")
+    if alpha.r != system.r:
+        raise ValueError(f"alpha has r={alpha.r} channels but the system has r={system.r}")
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.shape != (system.K,):
+        raise ValueError(f"zeta of shape {zeta.shape} does not match the system's K={system.K}")
+    # Closed under lowering, and the canonical order starts with the empty index.
+    counts = enumerate_counts(alpha.length, max(alpha.order, 1), alpha.r)
+    S0 = np.zeros((len(counts), system.K, 1))
+    S0[0, :, 0] = zeta
+    S = _integrate_stacked(system, tbasis, counts, S0, substeps)
+    at = [row_entries(row, alpha.r) for row in counts.tolist()].index(alpha.entries)
+    return S[at, :, 0].copy()

@@ -20,13 +20,13 @@ from chaosfilter.hermite import basis_tables, build_basis, gram_matrix, project
 from chaosfilter.models import ou_linear
 from chaosfilter.multiindex import (MultiIndex, characteristic_set, enumerate_truncated,
                                     factorial, lower)
-from chaosfilter.propagator import (closed_form_order1, cosine_basis, parseval_mass,
-                                    precompute_table, solve_phi)
+from chaosfilter.propagator import closed_form_order1, cosine_basis, parseval_mass, precompute_table
 from chaosfilter.runtime import (FilterState, ObservationWindow, advance, cut_windows, estimate,
                                  functional, run_filter, step_matrix, write_estimate_csv,
                                  write_state_csv, xi_integrals)
 
 from conftest import gaussian_p0
+from oracles import solve_phi
 
 
 class Criterion:

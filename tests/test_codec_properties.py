@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chaosfilter.hermite import build_basis
-from chaosfilter.multiindex import enumerate_truncated
+from chaosfilter.multiindex import enumerate_counts
 from chaosfilter.propagator import PropagatorTable, load_table, save_table
 from chaosfilter.runtime import read_observations, write_observations
 
@@ -25,12 +25,12 @@ def tables(draw):
     r = draw(st.integers(1, 2))
     N = draw(st.integers(0, 2))
     n = draw(st.integers(1, 3))
-    indices = tuple(enumerate_truncated(N, n, r))
-    mats = draw(hnp.arrays(np.float64, (len(indices), K, K), elements=finite))
+    counts = enumerate_counts(N, n, r)
+    mats = draw(hnp.arrays(np.float64, (len(counts), K, K), elements=finite))
     delta = draw(st.floats(1e-6, 10.0))
     return PropagatorTable(K=K, r=r, delta=delta, N=N, n=n,
                            substeps=draw(st.integers(1, 512)), basis=build_basis(1, K),
-                           indices=indices, matrices=mats)
+                           counts=counts, matrices=mats)
 
 
 @FEW

@@ -388,6 +388,8 @@ def test_table_of_huge_declared_size_is_validation_failure(tmp_path, capsys):
      "table header: basis_gammas does not match the basis of basis_d=1, K=6"),
     ("basis_lambdas=2 4", "basis_lambdas=2 5",
      "table header: basis_lambdas does not match the basis of basis_d=1, K=6"),
+    ("N=1", "N=2", "index line 4 of 3: found no line, expected '1:1:2': the blocks must list "
+     "the index set of N = 2, n = 2, r = 1 in canonical order"),
 ])
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)

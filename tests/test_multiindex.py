@@ -7,10 +7,10 @@ from numpy.polynomial import hermite_e
 
 from chaosfilter.multiindex import (MultiIndex, characteristic_set, empty_index,
                                     enumerate_truncated, factorial, from_line, hermite_table,
-                                    lower, slot_counts, to_line)
+                                    lower, to_line)
 from chaosfilter.runtime import _hermite_table
 
-from oracles import hermite_poly, xi_eval
+from oracles import hermite_poly, slot_counts, xi_eval
 
 # The r=2 worked reference index: nonzero entries
 # a_2^1 = 1, a_4^1 = 2, a_5^1 = 3, a_1^2 = 1, a_2^2 = 2, a_6^2 = 1.

@@ -13,12 +13,12 @@ from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import build_basis, project
 from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
 from chaosfilter.propagator import (brownian_second_moment, closed_form_order1, cosine_basis,
-                                    coupling_groups, default_substeps, load_table, parseval_mass,
-                                    precompute_table, rk4, save_table, solve_phi,
-                                    truncation_certificate)
+                                    default_substeps, load_table, parseval_mass,
+                                    precompute_table, rk4, save_table, truncation_certificate)
 from chaosfilter.runtime import ObservationWindow, step_matrix, xi_integrals
 
 from conftest import gaussian_p0
+from oracles import coupling_groups, coupling_lowering, solve_phi
 
 
 def scalar_system(a=0.0, b=0.7):
@@ -417,6 +417,20 @@ def test_load_table_names_index_outside_truncation(tmp_path, ou_system_k4, line,
         load_table(path)
 
 
+@pytest.mark.parametrize("second, at, found, expected", [
+    ("1:1:1", 3, "1:1:1", "2:1:1"),       # the second line repeated in place of the third
+    ("2:1:1", 2, "2:1:1", "1:1:1")])      # the second and third lines swapped
+def test_load_table_names_index_set_other_than_canonical(tmp_path, ou_system_k4, second, at,
+                                                         found, expected):
+    # the table has N = 1, n = 2, r = 1: its index lines are '-', '1:1:1' and '2:1:1'
+    path = _with_index_line(tmp_path, ou_system_k4, "1:1:1")
+    path.write_bytes(path.read_bytes().replace(b"1:1:1\n", f"{second}\n".encode("ascii"), 1))
+    with pytest.raises(ValueError, match=re.escape(
+            f"t.bin: index line {at} of 3: found {found!r}, expected {expected!r}: the blocks "
+            f"must list the index set of N = 1, n = 2, r = 1 in canonical order")):
+        load_table(path)
+
+
 # The right-hand side that the sparse lowering replaced: one pass per slot
 # group (k, l), each gathering S[src], forming B_l S[src] and scattering
 # coeff * m_k(s) times it into out[dst].  Kept as the oracle for the
@@ -470,7 +484,7 @@ def per_call_table(system, tbasis, N, n):
     S0 = np.zeros((len(indices), system.K, system.K))
     S0[0] = np.eye(system.K)
     A, B = system.A, system.B
-    C, coeff, mode = propagator._lowering(indices, system.r)
+    C, coeff, mode = coupling_lowering(indices, system.r)
     n_src = C.shape[1] // system.r
     out = np.empty(S0.shape)
     BS = np.empty((system.r, n_src) + S0.shape[1:])
@@ -497,7 +511,7 @@ def test_precompute_equals_per_call_rhs_bit_for_bit(system, tbasis, N, n):
 def test_stage_rows_equal_modes_at_every_time_rk4_passes(N, n):
     tbasis, substeps = cosine_basis(0.01, n), default_substeps(n)
     h = tbasis.delta / substeps
-    _, coeff, mode = propagator._lowering(enumerate_truncated(N, n, 1), 1)
+    _, coeff, mode = coupling_lowering(enumerate_truncated(N, n, 1), 1)
     stage = propagator._stage_data(tbasis, coeff, mode, h, substeps)
     passed = []
     rk4(lambda s, y: passed.append(s) or np.zeros(1), np.zeros(1), h, substeps)
@@ -588,7 +602,7 @@ def serial_rk4(rhs, y0, h, steps):
 
 def serial_integrate_stacked(system, tbasis, indices, S0, substeps):
     A, B = system.A, system.B
-    lowering = propagator._lowering(indices, system.r)
+    lowering = coupling_lowering(indices, system.r)
     if lowering is None:
         return serial_rk4(lambda s, S: np.matmul(A, S), S0, tbasis.delta / substeps, substeps)
     C, coeff, mode = lowering

@@ -14,12 +14,14 @@ read it:
   KeyError or a bare int(), float() or numpy error from a header), one
   that does.
 
-Four kinds of table the oracle accepts are now rejected on purpose, with
+Five kinds of table the oracle accepts are now rejected on purpose, with
 a named ValueError: one whose `format=` is not binary, one whose header
 holds a negative count, one whose basis lines are not those save_table
 writes for `build_basis(basis_d, K)` (the oracle parses whatever they
-list), and one with content other than whitespace after its declared
-blocks (which the oracle ignores).
+list), one with content other than whitespace after its declared blocks
+(which the oracle ignores), and one whose index blocks hold another index
+set than the canonical one of its N, n and r (the oracle takes any set
+within those bounds).
 """
 
 import re
@@ -31,9 +33,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chaosfilter.hermite import SpatialBasis, basis_fields, build_basis, first_non_float
-from chaosfilter.multiindex import enumerate_truncated, from_line
+from chaosfilter.multiindex import enumerate_counts, enumerate_truncated, from_line
 from chaosfilter.propagator import PropagatorTable, load_table, save_table
 from chaosfilter.runtime import read_observations, write_observations
+
+from oracles import slot_counts
 
 FUZZ = settings(max_examples=150, deadline=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -102,7 +106,8 @@ def _table_oracle(path):
         cursor += nbytes
     return PropagatorTable(K=K, r=r, delta=float(header["delta"]), N=int(header["N"]),
                            n=int(header["n"]), substeps=int(header["substeps"]),
-                           basis=basis, indices=tuple(indices), matrices=mats), buf[cursor:]
+                           basis=basis, counts=slot_counts(indices, n, r),
+                           matrices=mats), buf[cursor:]
 
 
 def _line_number_oracle(path, k):
@@ -216,11 +221,11 @@ def table_files(draw):
     # (N, n, r) with 1 to 28 index blocks: up to two bulk-decode groups
     N, n, r = draw(st.sampled_from([(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 5, 1), (2, 3, 2)]))
     K = draw(st.integers(1, 3))
-    indices = tuple(enumerate_truncated(N, n, r))
-    mats = draw(hnp.arrays(np.float64, (len(indices), K, K), elements=finite))
+    counts = enumerate_counts(N, n, r)
+    mats = draw(hnp.arrays(np.float64, (len(counts), K, K), elements=finite))
     return PropagatorTable(K=K, r=r, delta=draw(st.floats(1e-6, 10.0)), N=N, n=n,
                            substeps=draw(st.integers(1, 512)), basis=build_basis(1, K),
-                           indices=indices, matrices=mats)
+                           counts=counts, matrices=mats)
 
 
 def _same_table(a, b):
@@ -259,6 +264,14 @@ def _bad_basis(path):
                for key, value in basis_fields(build_basis(d, K)).items())
 
 
+def _other_index_set(table):
+    # the oracle took any index set within N and n; the reader requires the canonical one
+    try:
+        return list(table.indices) != enumerate_truncated(table.N, table.n, table.r)
+    except ValueError:
+        return True           # no index set has these N, n, r
+
+
 @FUZZ
 @given(data=st.data(), table=table_files())
 def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, table):
@@ -267,7 +280,8 @@ def test_table_reader_matches_row_by_row_oracle(tmp_path_factory, data, table):
     path.write_bytes(data.draw(corrupted(path.read_bytes())))
     def rejected_on_purpose(path, table):
         return (_bad_format(path, table) or _bad_basis(path)
-                or (table is not None and bool(_table_oracle(path)[1].strip())))
+                or (table is not None and bool(_table_oracle(path)[1].strip()))
+                or (table is not None and _other_index_set(table)))
 
     _same_outcome(path, load_table_oracle, load_table, _same_table, rejected_on_purpose)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from chaosfilter.galerkin import FilterModel
-from chaosfilter.simulate import SimulationConfig, sample_initial, simulate, simulate_paths, write_truth
+from chaosfilter.simulate import SimulationConfig, sample_initial, simulate_paths, write_truth
 
 from conftest import gaussian_p0
+from oracles import simulate
 
 
 def drift_only_model(rate=-0.8):
