@@ -39,7 +39,7 @@ def _cmd_precompute(args) -> int:
     pipe = build_pipeline(cfg)
     table = make_table(pipe)
     save_table(args.out, table)
-    print(f"wrote {len(table.counts)} index blocks to {args.out}; truncation certificate "
+    print(f"wrote {len(table.counts)} flow matrices to {args.out}; truncation certificate "
           f"rho = {truncation_certificate(pipe.system, table):.3g}")
     return 0
 

@@ -22,11 +22,13 @@ from .runtime import _run_samples
 from .simulate import SimulationConfig, simulate_paths
 
 
-def _builder_kwargs(params: dict) -> dict:
-    out = dict(params)
-    if "h" in out:
-        out["hslope"] = out.pop("h")
-    return out
+def _bundle(cfg: ExperimentConfig) -> ModelBundle:
+    """The model of cfg; the config key model.h is the builders' hslope."""
+    kwargs = {"hslope" if key == "h" else key: value for key, value in cfg.model_params.items()}
+    try:
+        return build_model(cfg.model_name, **kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"model parameters not valid for {cfg.model_name}: {exc}") from exc
 
 
 @dataclass
@@ -50,10 +52,7 @@ def project_model(cfg: ExperimentConfig):
     assembles, rejects an invalid model as build_pipeline does.  Returns
     (bundle, basis, grid, (p_init, f_coeffs, one_coeffs)).
     """
-    try:
-        bundle = build_model(cfg.model_name, **_builder_kwargs(cfg.model_params))
-    except TypeError as exc:
-        raise ConfigError(f"model parameters not valid for {cfg.model_name}: {exc}") from exc
+    bundle = _bundle(cfg)
     d = bundle.filter_model.d
     basis = build_basis(d, cfg.K)
     grid = gauss_hermite_grid(d, cfg.quad_m)
@@ -87,6 +86,10 @@ def check_consistency(cfg: ExperimentConfig, table: PropagatorTable,
     if table.K != cfg.K:
         raise ConfigError(f"table has K={table.K} basis functions, config has "
                           f"discretization.K={cfg.K}")
+    d = _bundle(cfg).filter_model.d
+    if table.basis.d != d:
+        raise ConfigError(f"table has basis_d={table.basis.d}, the model {cfg.model_name} "
+                          f"has dimension d={d}")
     if table.n > cfg.n:
         raise ConfigError(f"table has n={table.n} temporal modes, more than the config's "
                           f"discretization.n={cfg.n}")

@@ -37,66 +37,10 @@ class SpatialBasis:
         return max(max(g) for g in self.gammas)
 
 
-def encode_header(fields: dict) -> str:
-    """Table file header: 'version=1', then one 'key=value' line per field."""
-    return "".join(f"{key}={val}\n" for key, val in {"version": 1, **fields}.items())
-
-
 def write_rows(path, header: str, row: str, data: np.ndarray) -> None:
     """header, then one `row % tuple(line)` per line of the 2-d array data."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + (row * data.shape[0]) % tuple(data.ravel().tolist()))
-
-
-_EXPECTED = {int: "an integer", float: "a float"}
-
-
-def decode_header(path, lines, fields: dict):
-    """Inverse of encode_header: ({key: value} for `fields`, the basis they describe).
-
-    `fields` maps each key past the basis to int, float or the tuple of the
-    strings allowed; every int is a count, so a negative one is rejected.
-    Only version 1 is read.  The basis is build_basis(basis_d, K), and the
-    basis_gammas and basis_lambdas lines must be the ones basis_fields
-    writes for it.  The gammas line is first checked to hold K tuples of
-    basis_d entries, so a huge declared K or d fails before any basis is
-    built.  A missing key or a value that does not parse or match raises
-    a ValueError naming the file and the key.
-    """
-    header = dict(line.partition("=")[::2] for line in lines)
-    if header.get("version") != "1":
-        raise ValueError(f"{path}: unsupported table version {header.get('version')!r}")
-
-    def field(key, cast):
-        if key not in header:
-            raise ValueError(f"{path}: table header: missing '{key}=' line")
-        value = header[key]
-        if isinstance(cast, tuple):
-            if value in cast:
-                return value
-            expected = " or ".join(repr(c) for c in cast)
-        else:
-            try:
-                out = cast(value)
-                if cast is not int or out >= 0:
-                    return out
-                expected = "a nonnegative integer"
-            except ValueError:
-                expected = _EXPECTED[cast]
-        raise ValueError(f"{path}: table header: {key} is not {expected}: {value!r}")
-
-    d, K = field("basis_d", int), field("K", int)
-    gammas = field("basis_gammas", str).split()
-    width = gammas[0].count(",") + 1 if gammas else 0
-    if K < 1 or (len(gammas), width) != (K, d):
-        raise ValueError(f"{path}: table header: basis_gammas holds {len(gammas)} tuples of "
-                         f"{width} entries, expected K={K} tuples of basis_d={d}")
-    basis = build_basis(d, K)
-    for key, value in basis_fields(basis).items():
-        if field(key, str) != value:
-            raise ValueError(f"{path}: table header: {key} does not match the basis of "
-                             f"basis_d={d}, K={K}")
-    return {key: field(key, cast) for key, cast in fields.items()}, basis
 
 
 def read_text(path) -> str:
@@ -142,12 +86,6 @@ def decode_rows(lines, width: int):
         except ValueError:
             return None
     return rows if rows.shape[0] and rows.shape[1] == width else None
-
-
-def basis_fields(basis: SpatialBasis) -> dict[str, str]:
-    """The basis_gammas and basis_lambdas header fields of a basis."""
-    return {"basis_gammas": " ".join(",".join(str(g) for g in tup) for tup in basis.gammas),
-            "basis_lambdas": " ".join(f"{v:.17g}" for v in basis.lambdas)}
 
 
 def _graded_tuples(d, count):

@@ -199,28 +199,7 @@ def format_entries(entries) -> str:
     return " ".join(f"{k}:{l}:{c}" for (k, l), c in entries) or "-"
 
 
-def parse_entries(line: str, r: int) -> tuple:
-    """Inverse of format_entries; a ValueError for a line format_entries cannot write."""
-    line = line.strip()
-    if not line:
-        raise ValueError("blank index line (the empty index is '-')")
-    counts = {}
-    if line != "-":
-        for tok in line.split():
-            k, l, c = map(int, tok.split(":"))
-            if c < 1 or (k, l) in counts:
-                raise ValueError(f"entry {tok!r}: each slot appears once, with a count >= 1")
-            counts[(k, l)] = c
-    entries = tuple(sorted(counts.items()))
-    _check_entries(entries, r)
-    return entries
-
-
 def to_line(alpha: MultiIndex) -> str:
     """The text form of alpha (format_entries)."""
     return format_entries(alpha.entries)
 
-
-def from_line(line: str, r: int) -> MultiIndex:
-    """Inverse of to_line (parse_entries)."""
-    return MultiIndex(parse_entries(line, r), r)

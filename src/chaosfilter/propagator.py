@@ -15,16 +15,16 @@ online step then needs only dense matrix accumulation.
 Because each right-hand side reads only indices one layer down, a single
 classical 4th-order pass over the stacked system integrates every layer
 consistently.  The index set is the count array of
-multiindex.enumerate_counts throughout, from the lowering to the file.
+multiindex.enumerate_counts throughout; the table file stores none, as
+its header's N, n and r fix it.
 """
 
 from __future__ import annotations
 
 import contextvars
-import io
-import itertools
 import math
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,9 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .galerkin import GalerkinSystem
-from .hermite import SpatialBasis, basis_fields, decode_header, encode_header
-from .multiindex import (MultiIndex, canonical_rows, count_factorial, enumerate_counts,
-                         format_entries, parse_entries, row_entries)
+from .hermite import SpatialBasis, build_basis
+from .multiindex import MultiIndex, count_factorial, enumerate_counts, row_entries
 
 
 @dataclass(frozen=True)
@@ -426,128 +425,112 @@ def truncation_certificate(system: GalerkinSystem, table: PropagatorTable) -> fl
 # table files
 
 
+# The header keys in file order, each with its type; every int is a count,
+# and those of _POSITIVE are at least 1, as build_basis and enumerate_counts need.
+_HEADER = {"version": int, "K": int, "r": int, "delta": float, "N": int, "n": int,
+           "substeps": int, "basis_d": int}
+_POSITIVE = ("K", "r", "n", "basis_d")
+
+
+def encode_header(fields: dict) -> str:
+    """Table file header: 'version=2', then one 'key=value' line per field."""
+    return "".join(f"{key}={val}\n" for key, val in {"version": 2, **fields}.items())
+
+
+def decode_header(path, lines) -> dict:
+    """Inverse of encode_header: {key: value} of the header lines `lines`.
+
+    Only version 2 is read.  The lines must hold the keys of _HEADER, in
+    order; a count below its least value (0, or 1 for _POSITIVE) is
+    rejected.  A fault raises a ValueError naming the file and the key.
+    """
+    if lines and lines[0] != "version=2":
+        key, _, value = lines[0].partition("=")
+        version = value if key == "version" else None
+        raise ValueError(f"{path}: unsupported table version {version!r}; write the table "
+                         f"again with `precompute`")
+    if len(lines) < len(_HEADER):
+        raise ValueError(f"{path}: truncated header: expected {len(_HEADER)} lines, "
+                         f"found {len(lines)}")
+    header = {}
+    for number, ((key, cast), line) in enumerate(zip(_HEADER.items(), lines), 1):
+        name, eq, value = line.partition("=")
+        if (name, eq) != (key, "="):
+            raise ValueError(f"{path}: table header: line {number}: expected '{key}=', "
+                             f"found {line!r}")
+        try:
+            header[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"{path}: table header: {key} is not "
+                             f"{'an integer' if cast is int else 'a float'}: {value!r}") from None
+        if cast is int and header[key] < (key in _POSITIVE):
+            sign = "nonnegative" if header[key] < 0 else "positive"
+            raise ValueError(f"{path}: table header: {key} is not a {sign} integer: {value!r}")
+    return header
+
+
+def _index_count(N: int, slots: int):
+    """binom(slots + N, N) if it is at most 2**63, else None.
+
+    The product runs over the smaller of N and slots, and each factor
+    (larger + i) / i is at least 2, so it stops within 64 steps however
+    large the header's counts are (math.comb would form every digit).
+    """
+    count, larger = 1, max(N, slots)
+    for i in range(1, min(N, slots) + 1):
+        count = count * (larger + i) // i
+        if count > 2 ** 63:
+            return None
+    return count
+
+
 def save_table(path, table: PropagatorTable) -> None:
-    """Write a table file: the header, then per index its line and K*K raw LE floats."""
-    b = table.basis
+    """Write a table file: the header, then the matrices as one block of raw LE floats."""
     header = encode_header({
-        "format": "binary", "K": table.K, "r": table.r,
-        "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
-        "basis_d": b.d, **basis_fields(b), "indices": len(table.counts)})
-    mats = np.ascontiguousarray(table.matrices, dtype="<f8")
+        "K": table.K, "r": table.r, "delta": f"{table.delta:.17g}", "N": table.N,
+        "n": table.n, "substeps": table.substeps, "basis_d": table.basis.d})
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for row, mat in zip(table.counts.tolist(), mats):
-            fh.write((format_entries(row_entries(row, table.r)) + "\n").encode("ascii"))
-            fh.write(mat.tobytes(order="C"))
-
-
-def _line(fh):
-    """The next line of fh without its newline, or None when no newline is left.
-
-    Bytes that are not ASCII decode to U+FFFD, so that the parse of the
-    line, not the decode, names them.
-    """
-    line = fh.readline()
-    return line[:-1].decode("ascii", errors="replace") if line.endswith(b"\n") else None
-
-
-def _entries(path, header: dict, a: int, line: str | None):
-    """The entries of index line `line` of block a; a ValueError names a missing or bad line."""
-    count = header["indices"]
-    if line is None:
-        raise ValueError(f"{path}: truncated at index line {a + 1}: expected {count} "
-                         f"index blocks, found {a}")
-    try:
-        entries = parse_entries(line, header["r"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: index line {a + 1} of {count}: expected 'k:l:count' "
-                         f"triples or '-', found {line!r} ({exc})") from None
-    # entries are sorted by (k, l), so the last one holds the largest mode
-    length, order = sum(c for _, c in entries), entries[-1][0][0] if entries else 0
-    if length > header["N"] or order > header["n"]:
-        raise ValueError(f"{path}: index line {a + 1} of {count}: {line!r} has "
-                         f"|alpha| = {length} and d(alpha) = {order}, "
-                         f"expected at most N = {header['N']} and n = {header['n']}")
-    return entries
-
-
-def _walk(path, fh, header: dict, K: int):
-    """(lines, entries, mats) of every block, read one at a time.
-
-    The matrices are stacked once all are read, so a header that declares
-    more than the file holds costs no more memory than the file.  Raises a
-    ValueError naming the file and the block of the first fault in file
-    order.
-    """
-    count, nbytes = header["indices"], K * K * 8
-    lines, entries, mats = [], [], []
-    for a in range(count):
-        lines.append(_line(fh))
-        entries.append(_entries(path, header, a, lines[-1]))
-        raw = fh.read(nbytes)
-        if len(raw) < nbytes:
-            raise ValueError(f"{path}: truncated matrix {a + 1} of {count}: expected "
-                             f"{nbytes} bytes, found {len(raw)}")
-        mats.append(np.frombuffer(raw, dtype="<f8"))
-    return lines, entries, np.array(mats, dtype=float).reshape(count, K, K)
-
-
-def _canonical_counts(path, header: dict, lines, entries) -> np.ndarray:
-    """enumerate_counts(N, n, r) of the header if the entries list it; else a ValueError.
-
-    The error names the first index line that differs, what it holds and
-    the line expected there.  The walk stops one row past the blocks read,
-    so a header with a huge N costs no more than the file.
-    """
-    N, n, r, count = header["N"], header["n"], header["r"], header["indices"]
-    try:
-        want = list(itertools.islice(canonical_rows(N, n, r), count + 1))
-    except ValueError as exc:
-        raise ValueError(f"{path}: table header: {exc}") from None
-    a = next((a for a, (got, row) in enumerate(zip(entries, want)) if got != row_entries(row, r)),
-             min(count, len(want)))
-    if a == count == len(want):
-        return np.array(want, dtype=np.intp)
-    found = repr(lines[a]) if a < count else "no line"
-    expected = repr(format_entries(row_entries(want[a], r))) if a < len(want) else "no line"
-    raise ValueError(f"{path}: index line {a + 1} of {count}: found {found}, expected "
-                     f"{expected}: the blocks must list the index set of N = {N}, n = {n}, "
-                     f"r = {r} in canonical order")
-
-
-def _reject_trailing(path, fh, count: int) -> None:
-    """Raise a ValueError if anything but whitespace follows the declared blocks.
-
-    fh stands right after the last block; the error names the byte offset
-    where the extra content starts.
-    """
-    start, rest = fh.tell(), fh.read()
-    if tail := rest.lstrip():
-        raise ValueError(f"{path}: byte offset {start + len(rest) - len(tail)}: unexpected "
-                         f"content after the {count} declared index blocks")
+        fh.write(np.ascontiguousarray(table.matrices, dtype="<f8"))
 
 
 def load_table(path) -> PropagatorTable:
-    """Inverse of save_table.
+    """Inverse of save_table, at a cost bounded by the size of the file.
 
-    A truncated or malformed file, or one whose format is not binary,
-    raises a ValueError naming the file and the header key or the index
-    block; index blocks that do not list the header's canonical index set,
-    the first line that differs; content other than whitespace after the
-    declared blocks, the byte offset it starts at.
+    The header's counts are outside input: the index count is never
+    formed past 2**63 (_index_count), the body must hold exactly its
+    matrices before anything is built, and neither the count rows nor
+    the basis may have more entries than the file has bytes.  A fault
+    raises a ValueError naming the file: the key of a bad header line;
+    for a short body the expected against the found bytes; for a long
+    one the byte offset where the extra content starts.
     """
-    with open(path, "rb") as raw:
-        fh = io.BytesIO(raw.read())
-    lines = [_line(fh) for _ in range(12)]      # past a None, every line is None
-    if None in lines:
-        raise ValueError(f"{path}: truncated header: expected 12 lines, "
-                         f"found {lines.index(None)}")
-    header, basis = decode_header(path, lines, {
-        "format": ("binary",), "r": int, "delta": float, "N": int, "n": int,
-        "substeps": int, "indices": int})
-    lines, entries, mats = _walk(path, fh, header, basis.K)
-    counts = _canonical_counts(path, header, lines, entries)
-    _reject_trailing(path, fh, header["indices"])
-    return PropagatorTable(K=basis.K, r=header["r"], delta=header["delta"], N=header["N"],
-                           n=header["n"], substeps=header["substeps"], basis=basis,
-                           counts=counts, matrices=mats)
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):     # the body is read by the file's size
+            raise ValueError(f"{path}: not a regular file")
+        lines = []
+        while len(lines) < len(_HEADER) and (line := fh.readline()).endswith(b"\n"):
+            lines.append(line[:-1].decode("ascii", errors="replace"))
+        h = decode_header(path, lines)
+        K, N, n, r, d = h["K"], h["N"], h["n"], h["r"], h["basis_d"]
+        start, size = fh.tell(), st.st_size
+        count, block, body = _index_count(N, n * r), 8 * K * K, size - start
+        if count is None or count * block > body:
+            expected = f"more than {body}" if count is None else count * block
+            raise ValueError(f"{path}: truncated: expected {expected} bytes of matrices after "
+                             f"the header (N={N}, n={n}, r={r}, K={K}), found {body}")
+        if count * block < body:
+            raise ValueError(f"{path}: byte offset {start + count * block}: unexpected content "
+                             f"after the {count} matrices")
+        for what, entries in ((f"the index set of N={N}, n={n}, r={r}", count * n * r),
+                              (f"the basis of basis_d={d}, K={K}", K * d)):
+            if entries > size:
+                raise ValueError(f"{path}: table header: {what} has {entries} entries, more "
+                                 f"than the file's {size} bytes")
+        mats = np.empty((count, K, K), dtype="<f8")
+        if fh.readinto(mats) != body:
+            raise ValueError(f"{path}: truncated while it was read")
+    return PropagatorTable(K=K, r=r, delta=h["delta"], N=N, n=n, substeps=h["substeps"],
+                           basis=build_basis(d, K), counts=enumerate_counts(N, n, r),
+                           matrices=mats.astype(float, copy=False))

@@ -6,7 +6,8 @@ probe, the per-window loop of the online recursion, a one-path
 simulation, a one-index flow, and the index set's count array and
 lowering structure built from MultiIndex objects.  The library computes
 each of these in a batched form or on the count array; the tests check
-it against these.
+it against these.  Last, the writer of the retired version-1 table file,
+which the reader must reject by name.
 """
 
 from __future__ import annotations
@@ -223,3 +224,19 @@ def solve_phi(system, tbasis, alpha: MultiIndex, zeta, substeps: int | None = No
     S = _integrate_stacked(system, tbasis, counts, S0, substeps)
     at = [row_entries(row, alpha.r) for row in counts.tolist()].index(alpha.entries)
     return S[at, :, 0].copy()
+
+
+def save_table_v1(path, table) -> None:
+    """A table file of version 1: twelve header lines, then per index its line and matrix."""
+    b = table.basis
+    fields = {"version": 1, "format": "binary", "K": table.K, "r": table.r,
+              "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n,
+              "substeps": table.substeps, "basis_d": b.d,
+              "basis_gammas": " ".join(",".join(str(g) for g in tup) for tup in b.gammas),
+              "basis_lambdas": " ".join(f"{v:.17g}" for v in b.lambdas),
+              "indices": len(table.counts)}
+    data = "".join(f"{key}={val}\n" for key, val in fields.items()).encode("ascii")
+    for alpha, mat in zip(table.indices, table.matrices):
+        data += (str(alpha) + "\n").encode("ascii") + mat.astype("<f8").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(data)

@@ -29,8 +29,9 @@ def tables(draw):
     mats = draw(hnp.arrays(np.float64, (len(counts), K, K), elements=finite))
     delta = draw(st.floats(1e-6, 10.0))
     return PropagatorTable(K=K, r=r, delta=delta, N=N, n=n,
-                           substeps=draw(st.integers(1, 512)), basis=build_basis(1, K),
-                           counts=counts, matrices=mats)
+                           substeps=draw(st.integers(1, 512)),
+                           basis=build_basis(draw(st.integers(1, 3)), K), counts=counts,
+                           matrices=mats)
 
 
 @FEW
@@ -41,10 +42,17 @@ def test_table_codec_round_trip(tmp_path_factory, table):
     back = load_table(path)
     assert (back.K, back.r, back.N, back.n, back.substeps) == \
         (table.K, table.r, table.N, table.n, table.substeps)
-    assert back.delta == table.delta
+    assert np.float64(back.delta).tobytes() == np.float64(table.delta).tobytes()
     assert back.indices == table.indices
+    assert back.counts.tobytes() == table.counts.tobytes()
     assert back.matrices.tobytes() == table.matrices.tobytes()     # -0.0 stays -0.0
-    assert back.basis.gammas == table.basis.gammas
+    assert (back.basis.d, back.basis.gammas) == (table.basis.d, table.basis.gammas)
+    assert back.basis.lambdas.tobytes() == table.basis.lambdas.tobytes()
+    # the file is the 8-line header and the matrices, nothing else
+    header = path.read_bytes().split(b"\n", 8)
+    assert [line.split(b"=")[0] for line in header[:8]] == [
+        b"version", b"K", b"r", b"delta", b"N", b"n", b"substeps", b"basis_d"]
+    assert header[8] == table.matrices.astype("<f8").tobytes()
 
 
 @FEW

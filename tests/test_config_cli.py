@@ -8,11 +8,12 @@ import pytest
 from chaosfilter import experiments
 from chaosfilter.cli import main
 from chaosfilter.config import ConfigError, parse_config
-from chaosfilter.hermite import basis_fields, build_basis
 from chaosfilter.propagator import TemporalBasis, cosine_basis, load_table
 from chaosfilter.reference import compare_on_path, kalman_bucy
 from chaosfilter.runtime import (_BLOCK_ENTRIES, cut_windows, read_observations, run_filter,
                                  write_estimate_csv, write_observations, write_state_csv)
+
+from oracles import save_table_v1
 
 BASE = """
 model.name = ou-linear
@@ -107,7 +108,7 @@ def test_precompute_block_count_and_determinism(tmp_path):
     out1, out2 = tmp_path / "t1.tbl", tmp_path / "t2.tbl"
     assert main(["precompute", "--config", cfg_path, "--out", str(out1)]) == 0
     assert main(["precompute", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert b"indices=15" in out1.read_bytes()
+    assert len(out1.read_bytes().split(b"\nbasis_d=1\n", 1)[1]) == 15 * 8 * 8 * 8  # 15 matrices
     assert out1.read_bytes() == out2.read_bytes()
     table = load_table(out1)
     assert len(table.indices) == 15 and table.K == 8
@@ -118,7 +119,7 @@ def test_precompute_depth_zero_single_block(tmp_path):
                                                 "discretization.N = 0"))
     out = tmp_path / "t0.tbl"
     assert main(["precompute", "--config", cfg_path, "--out", str(out)]) == 0
-    assert b"indices=1" in out.read_bytes()
+    assert len(out.read_bytes().split(b"\nbasis_d=1\n", 1)[1]) == 6 * 6 * 8     # one matrix
     assert len(load_table(out).indices) == 1
 
 
@@ -339,7 +340,8 @@ def test_truncated_table_is_validation_failure(tmp_path, capsys):
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
-    assert "table.tbl: truncated matrix 3 of 3" in capsys.readouterr().err
+    assert ("table.tbl: truncated: expected 864 bytes of matrices after the header (N=1, n=2, "
+            "r=1, K=6), found 856" in capsys.readouterr().err)
 
 
 def test_ragged_replay_is_validation_failure(tmp_path, capsys):
@@ -354,42 +356,34 @@ def test_ragged_replay_is_validation_failure(tmp_path, capsys):
 
 
 def test_table_of_huge_declared_size_is_validation_failure(tmp_path, capsys):
-    # K=60000, with its basis lines, and 100000 blocks: the file runs out in block 1, long
-    # before the memory would
+    # K=60000: the 3 matrices would take 86.4 GB, and the file holds 864 bytes of them
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
     assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
-    data = table.read_bytes().replace(b"\nK=6\n", b"\nK=60000\n", 1)
-    big = basis_fields(build_basis(1, 60000))
-    for key, value in basis_fields(build_basis(1, 6)).items():
-        data = data.replace(f"\n{key}={value}\n".encode(), f"\n{key}={big[key]}\n".encode(), 1)
-    table.write_bytes(data.replace(b"\nindices=3\n", b"\nindices=100000\n", 1))
+    table.write_bytes(table.read_bytes().replace(b"\nK=6\n", b"\nK=60000\n", 1))
     obs = tmp_path / "obs.txt"
     write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
     capsys.readouterr()
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
-    found = len(data.split(b"\nindices=3\n", 1)[1]) - len(b"-\n")     # all after index line 1
-    assert (f"table.tbl: truncated matrix 1 of 100000: expected 28800000000 bytes, found {found}\n"
-            in capsys.readouterr().err)
+    assert ("table.tbl: truncated: expected 86400000000 bytes of matrices after the header "
+            "(N=1, n=2, r=1, K=60000), found 864\n" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("indices=", "indicez=", "table header: missing 'indices=' line"),
-    ("format=binary", "format=foo", "table header: format is not 'binary': 'foo'"),
-    ("format=binary", "format=text", "table header: format is not 'binary': 'text'"),
+    ("version=2", "version=3",
+     "unsupported table version '3'; write the table again with `precompute`"),
     ("K=6", "K=abc", "table header: K is not an integer: 'abc'"),
-    ("indices=3", "indices=-1", "table header: indices is not a nonnegative integer: '-1'"),
-    ("basis_gammas=0 1 2 3 4 5", "basis_gammas=0 1",
-     "table header: basis_gammas holds 2 tuples of 1 entries, expected K=6 tuples of basis_d=1"),
-    ("basis_d=1", "basis_d=2",
-     "table header: basis_gammas holds 6 tuples of 1 entries, expected K=6 tuples of basis_d=2"),
-    ("basis_gammas=0 1 2 3 4 5", "basis_gammas=0 1 2 3 5 4",
-     "table header: basis_gammas does not match the basis of basis_d=1, K=6"),
-    ("basis_lambdas=2 4", "basis_lambdas=2 5",
-     "table header: basis_lambdas does not match the basis of basis_d=1, K=6"),
-    ("N=1", "N=2", "index line 4 of 3: found no line, expected '1:1:2': the blocks must list "
-     "the index set of N = 2, n = 2, r = 1 in canonical order"),
+    ("delta=", "delta=x", "table header: delta is not a float: 'x0.10000000000000001'"),
+    ("\nK=6\n", "\nK=0\n", "table header: K is not a positive integer: '0'"),
+    ("\nr=1\n", "\nr=0\n", "table header: r is not a positive integer: '0'"),
+    ("\nn=2\n", "\nn=0\n", "table header: n is not a positive integer: '0'"),
+    ("\nbasis_d=1\n", "\nbasis_d=0\n", "table header: basis_d is not a positive integer: '0'"),
+    ("\nr=1\n", "\nr=-1\n", "table header: r is not a nonnegative integer: '-1'"),
+    ("\nN=1\nn=2\n", "\nn=2\nN=1\n", "table header: line 5: expected 'N=', found 'n=2'"),
+    ("substeps=64", "steps=64", "table header: line 7: expected 'substeps=', found 'steps=64'"),
+    ("N=1", "N=2", "truncated: expected 1728 bytes of matrices after the header (N=2, n=2, r=1, "
+     "K=6), found 864"),
 ])
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)
@@ -401,6 +395,38 @@ def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
     assert f"table.tbl: {message}" in capsys.readouterr().err
+
+
+def test_version_1_table_is_validation_failure(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    save_table_v1(table, load_table(table))
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
+    capsys.readouterr()
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert (f"invalid input [filter]: {table}: unsupported table version '1'; write the table "
+            f"again with `precompute`" in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_table_of_another_basis_dimension_is_validation_failure(tmp_path, capsys):
+    # the matrices of a K=6 table do not depend on basis_d, so only the model can tell
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    table.write_bytes(table.read_bytes().replace(b"\nbasis_d=1\n", b"\nbasis_d=2\n", 1))
+    assert load_table(table).basis.d == 2
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, np.linspace(0.0, 0.4, 65), np.zeros((65, 1)))
+    capsys.readouterr()
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert ("table has basis_d=2, the model ou-linear has dimension d=1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
 
 
 def test_replay_byte_that_is_not_utf8_is_validation_failure(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The count array as the one stored form of the chaos index set.
 
-The table, its file codec, the lowering of the coefficient flows, the
-truncation certificate and the Parseval mass read the index set as the
-(|J|, n r) count array of multiindex.enumerate_counts.  Each is checked
-here, bit for bit, against its form built from MultiIndex objects, and
-the filter command is checked to build no MultiIndex at all.
+The table, the lowering of the coefficient flows, the truncation
+certificate and the Parseval mass read the index set as the (|J|, n r)
+count array of multiindex.enumerate_counts; the table file stores none,
+and its reader derives the array from the header.  Each is checked here,
+bit for bit, against its form built from MultiIndex objects, and the
+filter command is checked to build no MultiIndex at all.
 """
 
 import math
@@ -15,11 +16,9 @@ import pytest
 from chaosfilter import experiments, propagator
 from chaosfilter.cli import main
 from chaosfilter.config import parse_config
-from chaosfilter.hermite import basis_fields, encode_header
-from chaosfilter.multiindex import (MultiIndex, enumerate_counts, enumerate_truncated, factorial,
-                                    to_line)
-from chaosfilter.propagator import (load_table, parseval_mass, precompute_table, save_table,
-                                    truncation_certificate)
+from chaosfilter.multiindex import MultiIndex, enumerate_counts, enumerate_truncated, factorial
+from chaosfilter.propagator import (encode_header, load_table, parseval_mass, precompute_table,
+                                    save_table, truncation_certificate)
 from chaosfilter.runtime import write_observations
 
 from oracles import coupling_lowering, slot_counts
@@ -89,20 +88,21 @@ def test_certificate_and_parseval_take_factorials_off_the_count_rows(live):
     assert parseval_mass(table, zeta) == (sum(by_layer.values()), by_layer)
 
 
-def test_table_file_equals_the_one_written_from_multiindex_lines(tmp_path, live):
+def test_table_file_stores_no_index_and_loads_the_canonical_counts(tmp_path, live):
     _, table = live
     path = tmp_path / "t.bin"
     save_table(path, table)
-    # save_table as it wrote each index line with to_line from a MultiIndex
-    b = table.basis
+    # the index set is fixed by the header's N, n and r: the file holds only the matrices, in the
+    # order of enumerate_truncated, after the header
     expected = encode_header({
-        "format": "binary", "K": table.K, "r": table.r,
-        "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n, "substeps": table.substeps,
-        "basis_d": b.d, **basis_fields(b), "indices": 165}).encode("ascii")
-    for alpha, mat in zip(enumerate_truncated(3, 8, 1), table.matrices):
-        expected += (to_line(alpha) + "\n").encode("ascii") + mat.astype("<f8").tobytes()
+        "K": table.K, "r": table.r, "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n,
+        "substeps": table.substeps, "basis_d": table.basis.d}).encode("ascii")
+    for alpha in enumerate_truncated(3, 8, 1):
+        expected += table.matrix_for(alpha).astype("<f8").tobytes()
     assert path.read_bytes() == expected
-    assert load_table(path).counts.tobytes() == table.counts.tobytes()
+    assert len(expected) == 60 + 165 * 32 * 32 * 8
+    assert load_table(path).counts.tobytes() == slot_counts(enumerate_truncated(3, 8, 1), 8,
+                                                            1).tobytes()
 
 
 def test_filter_and_load_table_build_no_multiindex(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import hermite_e
 
 from chaosfilter.multiindex import (MultiIndex, characteristic_set, empty_index,
-                                    enumerate_truncated, factorial, from_line, hermite_table,
+                                    enumerate_truncated, factorial, hermite_table,
                                     lower, to_line)
 from chaosfilter.runtime import _hermite_table
 
@@ -195,11 +195,7 @@ def test_xi_statistical_orthonormality():
 
 def test_serialization_round_trip():
     assert to_line(empty_index(2)) == "-"
-    assert from_line("-", 2) == empty_index(2)
-    a = ref_index()
-    assert from_line(to_line(a), 2) == a
-    for idx in enumerate_truncated(3, 3, 2):
-        assert from_line(to_line(idx), 2) == idx
+    assert to_line(ref_index()) == "1:2:1 2:1:1 2:2:2 4:1:2 5:1:3 6:2:1" == str(ref_index())
 
 
 def test_multiindex_validation():

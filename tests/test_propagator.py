@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import re
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +14,14 @@ from chaosfilter import experiments, propagator
 from chaosfilter.config import parse_config
 from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
 from chaosfilter.hermite import build_basis, project
-from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_truncated, to_line
-from chaosfilter.propagator import (brownian_second_moment, closed_form_order1, cosine_basis,
-                                    default_substeps, load_table, parseval_mass,
+from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_counts, enumerate_truncated
+from chaosfilter.propagator import (PropagatorTable, brownian_second_moment, closed_form_order1,
+                                    cosine_basis, default_substeps, load_table, parseval_mass,
                                     precompute_table, rk4, save_table, truncation_certificate)
 from chaosfilter.runtime import ObservationWindow, step_matrix, xi_integrals
 
 from conftest import gaussian_p0
-from oracles import coupling_groups, coupling_lowering, solve_phi
+from oracles import coupling_groups, coupling_lowering, save_table_v1, solve_phi
 
 
 def scalar_system(a=0.0, b=0.7):
@@ -348,7 +351,7 @@ def test_brownian_second_moment_reports_blowup():
 
 
 def _truncated_table(tmp_path, ou_system_k4, cut):
-    # 3 index blocks of a K=4 table, 128 bytes of matrix each, cut to cut(bytes) bytes
+    # 3 matrices of a K=4 table, 128 bytes each, cut to cut(bytes) bytes
     path = tmp_path / "t.bin"
     save_table(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2, substeps=64))
     path.write_bytes(path.read_bytes()[:cut(path.read_bytes())])
@@ -357,78 +360,68 @@ def _truncated_table(tmp_path, ou_system_k4, cut):
 
 def test_load_table_rejects_truncated_binary_matrix(tmp_path, ou_system_k4):
     path = _truncated_table(tmp_path, ou_system_k4, lambda buf: len(buf) - 40)
-    with pytest.raises(ValueError, match=r"t\.bin: truncated matrix 3 of 3: expected 128 bytes, found 88"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: truncated: expected 384 bytes of matrices after the header (N=1, n=2, "
+            f"r=1, K=4), found 344")):
         load_table(path)
-
-
-def test_load_table_rejects_truncated_binary_index_line(tmp_path, ou_system_k4):
-    # cut inside the third index line, right after the second matrix
-    path = _truncated_table(tmp_path, ou_system_k4, lambda buf: len(buf) - 128 - 2)
-    with pytest.raises(ValueError, match=r"truncated at index line 3: expected 3 index blocks, found 2"):
-        load_table(path)
-
-
-def _with_index_line(tmp_path, ou_system_k4, line):
-    # the table of _truncated_table with its third index line replaced by `line`
-    path = _truncated_table(tmp_path, ou_system_k4, len)
-    data = path.read_bytes()
-    third = (to_line(load_table(path).indices[2]) + "\n").encode("ascii")
-    end = len(data) - 128
-    assert data[end - len(third):end] == third
-    path.write_bytes(data[:end - len(third)] + (line + "\n").encode("ascii") + data[end:])
-    return path
 
 
 def test_load_table_rejects_content_after_the_declared_blocks(tmp_path, ou_system_k4):
     path = _truncated_table(tmp_path, ou_system_k4, len)
-    data, table = path.read_bytes(), load_table(path)
-    # trailing whitespace alone still loads
-    path.write_bytes(data + b"\n \t\n")
-    assert load_table(path).matrices.tobytes() == table.matrices.tobytes()
-    path.write_bytes(data + b"\n 1:1:1\n")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: byte offset {len(data) + 2}: unexpected content after the 3 declared "
-            f"index blocks")):
-        load_table(path)
+    data = path.read_bytes()
+    for tail in (b"\n", b"\x00" * 128, b"\n 1:1:1\n"):
+        path.write_bytes(data + tail)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: byte offset {len(data)}: unexpected content after the 3 matrices")):
+            load_table(path)
 
 
 def test_load_table_rejects_truncated_header(tmp_path, ou_system_k4):
     path = _truncated_table(tmp_path, ou_system_k4, lambda buf: buf.index(b"basis_d"))
-    with pytest.raises(ValueError, match=r"t\.bin: truncated header: expected 12 lines, found 8"):
+    with pytest.raises(ValueError, match=r"t\.bin: truncated header: expected 8 lines, found 7"):
         load_table(path)
 
 
-@pytest.mark.parametrize("line", ["", "1:1", "1:x:1", "1:1:0", "1:1:1 1:1:2", "1:3:1"])
-def test_load_table_names_bad_index_line(tmp_path, ou_system_k4, line):
-    path = _with_index_line(tmp_path, ou_system_k4, line)
-    with pytest.raises(ValueError, match=re.escape(f"t.bin: index line 3 of 3: expected "
-                                                   f"'k:l:count' triples or '-', found {line!r}")):
-        load_table(path)
+def test_load_table_rejects_a_file_that_is_not_regular():
+    # the body is read by the file's size, which a device or a pipe does not have
+    with pytest.raises(ValueError, match=re.escape(f"{os.devnull}: not a regular file")):
+        load_table(os.devnull)
 
 
-@pytest.mark.parametrize("line, length, order", [("1:1:1 2:1:1", 2, 2), ("1:1:2", 2, 1),
-                                                 ("3:1:1", 1, 3)])
-def test_load_table_names_index_outside_truncation(tmp_path, ou_system_k4, line, length, order):
-    # the table has N = 1, n = 2: an index past either bound has no slot in the runtime's pick
-    path = _with_index_line(tmp_path, ou_system_k4, line)
+def test_load_table_rejects_version_1_by_name(tmp_path, ou_system_k4):
+    path = tmp_path / "v1.tbl"
+    save_table_v1(path, precompute_table(ou_system_k4, cosine_basis(0.25, 2), 1, 2))
+    assert path.read_bytes().startswith(b"version=1\nformat=binary\nK=4\n")
     with pytest.raises(ValueError, match=re.escape(
-            f"t.bin: index line 3 of 3: {line!r} has |alpha| = {length} and d(alpha) = {order}, "
-            f"expected at most N = 1 and n = 2")):
+            f"{path}: unsupported table version '1'; write the table again with `precompute`")):
         load_table(path)
 
 
-@pytest.mark.parametrize("second, at, found, expected", [
-    ("1:1:1", 3, "1:1:1", "2:1:1"),       # the second line repeated in place of the third
-    ("2:1:1", 2, "2:1:1", "1:1:1")])      # the second and third lines swapped
-def test_load_table_names_index_set_other_than_canonical(tmp_path, ou_system_k4, second, at,
-                                                         found, expected):
-    # the table has N = 1, n = 2, r = 1: its index lines are '-', '1:1:1' and '2:1:1'
-    path = _with_index_line(tmp_path, ou_system_k4, "1:1:1")
-    path.write_bytes(path.read_bytes().replace(b"1:1:1\n", f"{second}\n".encode("ascii"), 1))
-    with pytest.raises(ValueError, match=re.escape(
-            f"t.bin: index line {at} of 3: found {found!r}, expected {expected!r}: the blocks "
-            f"must list the index set of N = 1, n = 2, r = 1 in canonical order")):
-        load_table(path)
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("keys", ["N", "n", "r", "K", "basis_d", "N n"])
+def test_load_table_rejects_huge_header_counts_at_a_cost_bounded_by_the_file(tmp_path, N, keys):
+    # header values are outside input: a count of 1e9 must fail fast, building nothing large;
+    # with N and n both 1e9 the index count binom(n + N, N) has some 6e8 digits
+    K = 4
+    table = PropagatorTable(K=K, r=1, delta=0.1, N=N, n=2, substeps=64, basis=build_basis(1, K),
+                            counts=enumerate_counts(N, 2, 1),
+                            matrices=np.ones((1 + 2 * N, K, K)))
+    path = tmp_path / "t.tbl"
+    save_table(path, table)
+    data = path.read_bytes()
+    for key in keys.split():
+        data = re.sub(rf"(?m)^{key}=.*$".encode(), f"{key}=1000000000".encode(), data, count=1)
+    path.write_bytes(data)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as info:
+            load_table(path)
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "1000000000" in str(info.value)
+    assert seconds < 1.0 and peak < 2 ** 20, (seconds, peak, str(info.value))
 
 
 # The right-hand side that the sparse lowering replaced: one pass per slot
@@ -570,7 +563,7 @@ def test_solve_phi_rejects_zeta_of_wrong_length(ou_system_k4):
         solve_phi(ou_system_k4, cosine_basis(0.2, 2), alpha, np.ones(3))
 
 
-@pytest.mark.parametrize("key, value", [("indices", "-1"), ("K", "-4"), ("r", "-1"), ("N", "-2"),
+@pytest.mark.parametrize("key, value", [("K", "-4"), ("r", "-1"), ("N", "-2"),
                                         ("n", "-2"), ("substeps", "-64")])
 def test_load_table_names_negative_header_count(tmp_path, ou_system_k4, key, value):
     path = _truncated_table(tmp_path, ou_system_k4, len)
