@@ -93,12 +93,12 @@ def check_consistency(cfg: ExperimentConfig, table: PropagatorTable,
     if table.n > cfg.n:
         raise ConfigError(f"table has n={table.n} temporal modes, more than the config's "
                           f"discretization.n={cfg.n}")
-    if abs(table.delta - cfg.delta) > 1e-12 * max(1.0, cfg.delta):
+    if not abs(table.delta - cfg.delta) <= 1e-12 * max(1.0, cfg.delta):
         raise ConfigError(f"table delta {table.delta} does not match config delta {cfg.delta}")
     if table.r != r:
         raise ConfigError(f"table has r={table.r} channels, observations have r={r}")
     max_dobs = max_sample_spacing(cfg.delta, table.n)
-    if delta_obs > max_dobs * (1 + 1e-9):
+    if not delta_obs <= max_dobs * (1 + 1e-9):
         raise ConfigError(f"observation spacing {delta_obs:.3g} too coarse for n={table.n}: "
                           f"need <= {max_dobs:.3g}")
 

@@ -170,6 +170,13 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
     report_stride steps (a trailing partial stride is dropped), initial ones
     included, as (nreports + 1, K, npaths); raises on the first non-finite
     report, naming the steps it covers.
+
+    Each step is four numpy calls, Z = W P, Z *= c, Z_0 += Z_l, P += Z_0,
+    made through bound methods with positional outputs.  Finiteness is
+    checked once, on the reports after the loop: P changes only by
+    P += Z_0, and x + y is finite only if x is, so a non-finite entry
+    stays non-finite and the first report holding one is the first that
+    blew up.
     """
     ys = np.asarray(y_paths, dtype=float)
     if ys.ndim == 2:
@@ -192,26 +199,30 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
     coef = np.empty((block, (1 + r) * K, npaths))
     per_matrix = coef.reshape(block, 1 + r, K, npaths)
     per_matrix[:, 0] = delta
+    rows = list(coef)
     Z = np.empty(((1 + r) * K, npaths))
     Z0, *noise = Z.reshape(1 + r, K, npaths)
     out = np.empty((nsteps // report_stride + 1,) + P.shape)
     out[0] = P
+    dot, multiply, add = W.dot, np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(1, out.shape[0]):
             for s in range((w - 1) * report_stride, w * report_stride, block):
                 n = min(block, w * report_stride - s)
                 per_matrix[:n, 1:] = dY[s:s + n, :, None]
-                for c in coef[:n]:
-                    np.dot(W, P, out=Z)
-                    np.multiply(Z, c, out=Z)
+                for c in rows[:n]:
+                    dot(P, Z)
+                    multiply(Z, c, Z)
                     for Zl in noise:
-                        np.add(Z0, Zl, out=Z0)
-                    np.add(P, Z0, out=P)
-            if not np.all(np.isfinite(P)):
-                raise FloatingPointError(
-                    f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
-                    f" of {nsteps}")
+                        add(Z0, Zl, Z0)
+                    add(P, Z0, P)
             out[w] = P
+    finite = np.isfinite(out[1:]).all(axis=(1, 2))
+    if not finite.all():
+        w = int(np.argmin(finite)) + 1
+        raise FloatingPointError(
+            f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
+            f" of {nsteps}")
     return out
 
 

@@ -441,8 +441,9 @@ def decode_header(path, lines) -> dict:
     """Inverse of encode_header: {key: value} of the header lines `lines`.
 
     Only version 2 is read.  The lines must hold the keys of _HEADER, in
-    order; a count below its least value (0, or 1 for _POSITIVE) is
-    rejected.  A fault raises a ValueError naming the file and the key.
+    order; a count below its least value (0, or 1 for _POSITIVE), and a
+    float (delta) that is not finite and positive, are rejected.  A fault
+    raises a ValueError naming the file and the key.
     """
     if lines and lines[0] != "version=2":
         key, _, value = lines[0].partition("=")
@@ -466,6 +467,9 @@ def decode_header(path, lines) -> dict:
         if cast is int and header[key] < (key in _POSITIVE):
             sign = "nonnegative" if header[key] < 0 else "positive"
             raise ValueError(f"{path}: table header: {key} is not a {sign} integer: {value!r}")
+        if cast is float and not 0 < header[key] < math.inf:
+            raise ValueError(f"{path}: table header: line {number}: {key} is not a finite "
+                             f"positive float: {value!r}")
     return header
 
 

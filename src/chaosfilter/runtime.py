@@ -53,10 +53,10 @@ class ObservationWindow:
         spacing = np.diff(t)
         if np.any(spacing <= 0):
             raise ValueError("window times must be strictly increasing")
-        if abs(t[0] - self.t_start) > 1e-12 or abs(t[-1] - self.t_end) > 1e-12:
+        if not (abs(t[0] - self.t_start) <= 1e-12 and abs(t[-1] - self.t_end) <= 1e-12):
             raise ValueError("window samples must span exactly [t_start, t_end]")
         ref = (self.t_end - self.t_start) / (t.size - 1)
-        if np.max(np.abs(spacing - ref)) > 1e-12 * max(1.0, abs(ref)):
+        if not np.max(np.abs(spacing - ref)) <= 1e-12 * max(1.0, abs(ref)):
             raise ValueError("window sampling must be uniform")
 
     @property
@@ -276,6 +276,9 @@ def read_observations(path):
     numbered = ((number, line) for number, raw in enumerate(lines, 1) if (line := raw.strip()))
     head = list(itertools.islice(numbered, 2))
     delta_obs = _header_value(path, head, 0, "delta_obs", float)
+    if not 0 < delta_obs < math.inf:
+        raise ValueError(f"{path}: line {head[0][0]}: delta_obs must be finite and > 0, "
+                         f"got {delta_obs}")
     r = _header_value(path, head, 1, "r", int)
     if r < 1:
         raise ValueError(f"{path}: line {head[1][0]}: r must be >= 1, got {r}")
@@ -307,8 +310,8 @@ def _samples_per_window(times: np.ndarray, delta: float) -> int:
     spacing = float(times[1] - times[0])
     if not spacing > 0:
         raise ValueError("window times must be strictly increasing")
-    if np.max(np.abs(np.diff(times) - spacing)) > 1e-12 * max(1.0, abs(spacing)):
-        raise ValueError("window sampling must be uniform")
+    if not np.max(np.abs(np.diff(times) - spacing)) <= 1e-12 * max(1.0, abs(spacing)):
+        raise ValueError("window sampling must be uniform")     # a NaN time is non-uniform
     per = delta / spacing
     per_i = int(round(per))
     if abs(per - per_i) > 1e-9 or per_i < 1:

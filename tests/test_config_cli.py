@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 import typing
 import warnings
@@ -197,7 +199,11 @@ GRID = np.linspace(0.0, 0.4, 65)
     (GRID[:1], "cutting windows needs at least two samples, got one"),
     (np.zeros(5), "window times must be strictly increasing"),
     (GRID[::4], "window spacing 0.025 too coarse: need <= delta/(8 n) = 0.00625"),
-], ids=["partial-window", "non-uniform", "single-sample", "repeated-time", "too-coarse"])
+    # the largest spacing error of a NaN time is NaN, which no tolerance bounds
+    (np.where(np.arange(65) == 5, np.nan, GRID), "window sampling must be uniform"),
+    (np.where(np.arange(65) == 64, np.nan, GRID), "window sampling must be uniform"),
+], ids=["partial-window", "non-uniform", "single-sample", "repeated-time", "too-coarse",
+        "nan-time", "nan-last-time"])
 def test_replay_off_the_window_grid_is_validation_failure(tmp_path, capsys, times, message):
     cfg_path = write_cfg(tmp_path)
     table = tmp_path / "table.tbl"
@@ -384,6 +390,14 @@ def test_table_of_huge_declared_size_is_validation_failure(tmp_path, capsys):
     ("substeps=64", "steps=64", "table header: line 7: expected 'substeps=', found 'steps=64'"),
     ("N=1", "N=2", "truncated: expected 1728 bytes of matrices after the header (N=2, n=2, r=1, "
      "K=6), found 864"),
+    ("delta=0.10000000000000001", "delta=nan",
+     "table header: line 4: delta is not a finite positive float: 'nan'"),
+    ("delta=0.10000000000000001", "delta=inf",
+     "table header: line 4: delta is not a finite positive float: 'inf'"),
+    ("delta=0.10000000000000001", "delta=-0.1",
+     "table header: line 4: delta is not a finite positive float: '-0.1'"),
+    ("delta=0.10000000000000001", "delta=0",
+     "table header: line 4: delta is not a finite positive float: '0'"),
 ])
 def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new, message):
     cfg_path = write_cfg(tmp_path)
@@ -395,6 +409,36 @@ def test_bad_table_header_field_is_validation_failure(tmp_path, capsys, old, new
     assert main(["filter", "--config", cfg_path, "--table", str(table),
                  "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
     assert f"table.tbl: {message}" in capsys.readouterr().err
+
+
+def test_check_consistency_rejects_a_nan_delta_or_spacing(tmp_path):
+    # a comparison with NaN is False, so each check must fail unless its bound holds
+    cfg = parse_config(BASE)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", write_cfg(tmp_path), "--out", str(table)]) == 0
+    loaded = load_table(table)
+    experiments.check_consistency(cfg, loaded, 0.00625, 1)
+    with pytest.raises(ConfigError, match="table delta nan does not match config delta 0.1"):
+        experiments.check_consistency(cfg, dataclasses.replace(loaded, delta=math.nan), 0.00625, 1)
+    with pytest.raises(ConfigError, match="observation spacing nan too coarse for n=2"):
+        experiments.check_consistency(cfg, loaded, math.nan, 1)
+
+
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-1", "-1.0"), ("0", "0.0"),
+                                          ("inf", "inf")])
+def test_replay_of_bad_delta_obs_is_validation_failure(tmp_path, capsys, value, shown):
+    cfg_path = write_cfg(tmp_path)
+    table = tmp_path / "table.tbl"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    obs = tmp_path / "obs.txt"
+    write_observations(obs, 0.00625, GRID, np.zeros((65, 1)))
+    obs.write_text(f"delta_obs={value}\n" + obs.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    assert main(["filter", "--config", cfg_path, "--table", str(table),
+                 "--obs", str(obs), "--out", str(tmp_path / "x")]) == 2
+    assert (f"invalid input [filter]: {obs}: line 1: delta_obs must be finite and > 0, "
+            f"got {shown}" in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
 
 
 def test_version_1_table_is_validation_failure(tmp_path, capsys):

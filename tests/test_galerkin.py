@@ -282,6 +282,87 @@ def test_euler_reports_blowup_message_equals_seed_loop():
     assert messages[0].startswith("state blew up in steps ")
 
 
+def _growth_system(K, r, rate):
+    # dp = rate p dt: the Euler state grows by 1 + rate * delta per step in every path
+    return GalerkinSystem(K=K, r=r, A=rate * np.eye(K), B=np.zeros((r, K, K)),
+                          basis=build_basis(1, K))
+
+
+def _blowup_first_report():
+    # 10001**78 overflows at step 78
+    return _growth_system(3, 1, 1e4), np.zeros((2, 401)), 1.0, np.ones(3), 100, "steps 1..100 of 400"
+
+
+def _blowup_last_report_before_dropped_steps():
+    # 7.6**350 overflows at step 350, in the last whole report; steps 401..410 are dropped
+    return (_growth_system(3, 1, 6.6), np.zeros((2, 411)), 1.0, np.ones(3), 100,
+            "steps 301..400 of 410")
+
+
+def _blowup_one_path_of_several():
+    p_init = np.zeros((4, 3))
+    p_init[2] = 1.0                     # the other paths stay 0
+    return (_growth_system(3, 1, 6.6), np.zeros((4, 401)), 1.0, p_init, 50,
+            "steps 301..350 of 400")
+
+
+def _nan_observation_mid_run():
+    # a NaN at sample 250 of path 1 makes the increments of steps 250 and 251 NaN
+    system = random_system(4, 1, seed=6)
+    system = GalerkinSystem(K=4, r=1, A=0.3 * system.A, B=0.3 * system.B, basis=system.basis)
+    y = np.cumsum(np.random.default_rng(9).normal(scale=0.05, size=(3, 401)), axis=1)
+    y[1, 250] = np.nan
+    return system, y, 1.0 / 400, np.ones(4), 100, "steps 201..300 of 400"
+
+
+@pytest.mark.parametrize("case", [_blowup_first_report, _blowup_last_report_before_dropped_steps,
+                                  _blowup_one_path_of_several, _nan_observation_mid_run])
+def test_euler_reports_blowup_message_equals_seed_loop_in_every_case(case):
+    # _euler_reports checks finiteness once after its loop, the seed loop after every
+    # report; test_euler_reports_blowup_message_equals_seed_loop is the r=2 case
+    system, y, delta, p_init, stride, expected = case()
+    messages = []
+    for fn in (_euler_reports, seed_euler_reports):
+        with pytest.raises(FloatingPointError) as info:
+            fn(system, y, delta, p_init, stride)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert expected in messages[0]
+
+
+def test_integrate_paths_blowup_message_equals_seed_loop():
+    system, y, delta, p_init, _, _ = _blowup_one_path_of_several()
+    messages = []
+    for call in (lambda: integrate_galerkin_sde_paths(system, y, delta, p_init),
+                 lambda: seed_euler_reports(system, y, delta, p_init, y.shape[1] - 1)):
+        with pytest.raises(FloatingPointError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "state blew up in steps 1..400 of 400"
+
+
+# _euler_reports calls the bound W.dot and the ufuncs with positional outputs,
+# which skip numpy's argument dispatch; they must compute what np.dot and the
+# out= forms compute, bit for bit.  Shapes: mc-cubic's oracle (K=16, r=1, 10
+# paths) and an r=2 system.
+@pytest.mark.parametrize("K, r, npaths", [(16, 1, 10), (6, 2, 3)])
+def test_positional_out_calls_equal_their_dispatched_forms(K, r, npaths):
+    rng = np.random.default_rng(K + r)
+    W, P = rng.normal(size=((1 + r) * K, K)), rng.normal(size=(K, npaths))
+    c = rng.normal(size=((1 + r) * K, npaths))
+    Z = np.empty(((1 + r) * K, npaths))
+    assert W.dot(P, Z) is Z
+    assert np.array_equal(Z, np.dot(W, P))
+    ref = np.empty_like(Z)
+    np.dot(W, P, out=ref)
+    assert np.array_equal(Z, ref)
+    for ufunc in (np.multiply, np.add):
+        got, want = Z.copy(), Z.copy()
+        assert ufunc(got, c, got) is got
+        ufunc(want, c, out=want)
+        assert np.array_equal(got, want)
+
+
 # (K, r, npaths, nsteps, stride): the mc-cubic oracle block, a trailing partial
 # stride, one report for all steps, and strides over the 64-step coefficient
 # block, so that block boundaries fall inside a report window.

@@ -41,6 +41,14 @@ def test_window_validation():
         ObservationWindow(0.0, 1.0, t[::-1], np.zeros((65, 1)))
     with pytest.raises(ValueError, match="span"):
         ObservationWindow(0.0, 2.0, t, np.zeros((65, 1)))
+    # every comparison with NaN is False: a NaN time must fail the bound, not pass it
+    with pytest.raises(ValueError, match="uniform"):
+        ObservationWindow(0.0, 1.0, np.where(np.arange(65) == 7, np.nan, t), np.zeros((65, 1)))
+    for t_start, t_end in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="span"):
+            ObservationWindow(t_start, t_end, t, np.zeros((65, 1)))
+    with pytest.raises(ValueError, match="span"):
+        ObservationWindow(0.0, 1.0, np.where(np.arange(65) == 64, np.nan, t), np.zeros((65, 1)))
 
 
 def test_xi_integrals_constant_path_is_exactly_zero():
