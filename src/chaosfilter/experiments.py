@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .galerkin import GalerkinSystem, _euler_reports, assemble, validate_model
+from .galerkin import (GalerkinSystem, _euler_reports, _splitting_reports, assemble,
+                       validate_model)
 from .hermite import SpatialBasis, build_basis, gauss_hermite_grid, project_many
 from .models import ModelBundle, build_model
 from .propagator import (PropagatorTable, TemporalBasis, cosine_basis, max_sample_spacing,
@@ -131,7 +132,9 @@ def oracle_estimates(pipe: Pipeline, times, Y, stride: int):
 
     Linear models use the exact Gaussian filter on the full-resolution
     path; the nonlinear models fall back to the fine-grid integration of
-    the projected system (the spatially-truncated reference).
+    the projected system (the spatially-truncated reference,
+    galerkin_oracle_estimates).  stride is not read: the window stride
+    follows from cfg.delta and the sample spacing of times.
     """
     cfg = pipe.cfg
     delta_fine = float(times[1] - times[0])
@@ -145,11 +148,26 @@ def oracle_estimates(pipe: Pipeline, times, Y, stride: int):
 
 def galerkin_oracle_estimates(system, p_init, f_coeffs, one_coeffs, Y,
                               delta_fine: float, win_stride: int):
-    """Estimates from Euler integration of the projected system on fine Y."""
-    reports = _euler_reports(system, Y, delta_fine, p_init, win_stride)
-    ests = (np.matmul(f_coeffs, reports) / np.matmul(one_coeffs, reports)).T
-    if not np.all(np.isfinite(ests)):
-        raise FloatingPointError("fine-grid oracle produced non-finite estimates")
+    """Estimates (npaths, nreports + 1) from the projected system integrated on fine Y.
+
+    One channel with a symmetric B (rho = 0, so M_1 is the multiplication
+    by h) takes the exact-noise splitting (galerkin._splitting_reports);
+    any other system takes Euler-Maruyama (galerkin._euler_reports).
+    Raises FloatingPointError naming the first path whose estimate is not
+    finite, with the report and its time.
+    """
+    B = system.B[0]
+    symmetric = system.r == 1 and np.max(np.abs(B - B.T)) <= 1e-12 * np.max(np.abs(B))
+    kernel = _splitting_reports if symmetric else _euler_reports
+    reports = kernel(system, Y, delta_fine, p_init, win_stride)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ests = (np.matmul(f_coeffs, reports) / np.matmul(one_coeffs, reports)).T
+    bad = ~np.isfinite(ests)
+    if bad.any():
+        path, report = np.argwhere(bad)[0]
+        raise FloatingPointError(
+            f"fine-grid oracle estimate is not finite on path {path} at report {report}"
+            f" (t = {report * win_stride * delta_fine:.6g})")
     return ests
 
 

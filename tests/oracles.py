@@ -1,6 +1,7 @@
 """Reference forms that only the tests call.
 
-Pointwise operators, a one-path Euler driver, the scalar Hermite
+Pointwise operators, a one-path Euler driver, a per-step, per-path
+loop of the exact-noise splitting, the scalar Hermite
 polynomial with the dict-keyed Wick product built on it, a Sobolev norm
 probe, the per-window loop of the online recursion, a one-path
 simulation, a one-index flow, and the index set's count array and
@@ -79,6 +80,31 @@ def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
         raise ValueError("report_stride must divide the number of steps")
     y = np.reshape(y_path, (1, len(y_path), -1))
     return _euler_reports(system, y, delta, p_init, report_stride)[:, :, 0]
+
+
+def splitting_loop(system, y_paths, delta, p_init, report_stride):
+    """The exact-noise splitting one step and one path at a time.
+
+    For r == 1 and a symmetric B = V diag(lam) V^T: p = E p with
+    E = exp(A delta) (scipy's expm), then p = V (exp(lam dY - lam^2 delta/2) * V^T p).
+    y_paths: (npaths, nsteps+1); p_init: (K,) or (npaths, K).  Returns
+    (nreports + 1, K, npaths), a trailing partial stride dropped.
+    """
+    from scipy.linalg import expm
+    ys = np.asarray(y_paths, dtype=float)
+    E = expm(system.A * delta)
+    lam, V = np.linalg.eigh(system.B[0])
+    starts = np.broadcast_to(np.asarray(p_init, dtype=float), (ys.shape[0], system.K))
+    nreports = (ys.shape[1] - 1) // report_stride
+    out = np.empty((nreports + 1, system.K, ys.shape[0]))
+    for path, (y, p) in enumerate(zip(ys, starts)):
+        out[0, :, path] = p
+        for j in range(nreports * report_stride):
+            p = E @ p
+            p = V @ (np.exp(lam * (y[j + 1] - y[j]) - 0.5 * lam * lam * delta) * (V.T @ p))
+            if (j + 1) % report_stride == 0:
+                out[(j + 1) // report_stride, :, path] = p
+    return out
 
 
 def hermite_poly(nu: int, x):

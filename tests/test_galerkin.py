@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, assemble,
-                                  dissipativity_gap, integrate_galerkin_sde_paths,
-                                  validate_model)
-from chaosfilter.experiments import galerkin_oracle_estimates
+from chaosfilter.config import parse_config
+from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, _expm_rk4,
+                                  _splitting_reports, assemble, dissipativity_gap,
+                                  integrate_galerkin_sde_paths, validate_model)
+from chaosfilter.experiments import (build_pipeline, galerkin_oracle_estimates, oracle_estimates,
+                                     simulate_full)
 from chaosfilter.hermite import basis_tables, build_basis
 from chaosfilter.models import cubic_sensor
 
 from conftest import gaussian_p0, ou_test_model
-from oracles import apply_M, apply_generator, integrate_galerkin_sde
+from oracles import apply_M, apply_generator, integrate_galerkin_sde, splitting_loop
 
 
 def test_apply_generator_examples():
@@ -395,6 +397,121 @@ def test_oracle_estimates_equal_per_report_reads():
     ref = np.stack([(f @ R) / (one @ R) for R in reports], axis=1)
     assert got.shape == ref.shape == (npaths, nsteps // stride + 1)
     assert np.array_equal(got, ref)
+
+
+def _pipeline(model, K, paths=10, seed=801):
+    # mc-cubic's discretization: fine step delta/32, so 3200 steps over T = 1
+    cfg = parse_config(f"model.name = {model}\ndiscretization.K = {K}\n"
+                       "discretization.N = 2\ndiscretization.n = 4\n"
+                       "discretization.delta = 0.01\ndiscretization.T = 1.0\n"
+                       "discretization.delta_sim = 0.0003125\n"
+                       f"run.paths = {paths}\nrun.seed = {seed}\n")
+    pipe = build_pipeline(cfg)
+    times, _, Y = simulate_full(cfg, pipe, paths)
+    return pipe, times, Y
+
+
+def _reads(reports, f, one):
+    return (np.matmul(f, reports) / np.matmul(one, reports)).T
+
+
+def symmetric_system(K, seed):
+    # |A| about 0.4: one RK4 step's exp(A delta) is then expm's to rounding at delta = 1/130
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(K, K))
+    return GalerkinSystem(K=K, r=1, A=0.1 * rng.normal(size=(K, K)), B=0.5 * (M + M.T)[None],
+                          basis=build_basis(1, K))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_splitting_reports_equal_per_step_loop(shared):
+    # 130 steps at stride 32: four reports and a trailing partial stride of two steps
+    K, npaths, nsteps, stride, delta = 6, 3, 130, 32, 1.0 / 130
+    system = symmetric_system(K, seed=3)
+    rng = np.random.default_rng(4)
+    Y = np.cumsum(rng.normal(scale=math.sqrt(delta), size=(npaths, nsteps + 1)), axis=1)
+    p_init = rng.normal(size=K) if shared else rng.normal(size=(npaths, K))
+    got = _splitting_reports(system, Y, delta, p_init, stride)
+    ref = splitting_loop(system, Y, delta, p_init, stride)
+    assert got.shape == ref.shape == (nsteps // stride + 1, K, npaths)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rk4_step_exponential_equals_expm_at_the_mc_step():
+    pipe, _, _ = _pipeline("cubic-sensor", 16, paths=1)
+    delta = 3.125e-4
+    assert np.max(np.abs(_expm_rk4(pipe.system.A, delta) - expm(pipe.system.A * delta))) <= 1e-12
+
+
+def test_splitting_reports_blowup_names_report_steps():
+    # one step multiplies by the degree-4 Taylor value of e^(1e4), about 4.2e14: 22 steps overflow
+    system = GalerkinSystem(K=1, r=1, A=np.array([[1e4]]), B=np.zeros((1, 1, 1)),
+                            basis=build_basis(1, 1))
+    with pytest.raises(FloatingPointError, match=r"steps 21\.\.25 of 100"):
+        _splitting_reports(system, np.zeros((2, 101)), 1.0, np.ones(1), 5)
+
+
+def test_splitting_reports_needs_one_channel():
+    with pytest.raises(ValueError, match="one channel, system has 2"):
+        _splitting_reports(random_system(4, 2, seed=1), np.zeros((2, 9, 2)), 0.1, np.ones(4), 2)
+
+
+def test_asymmetric_b_keeps_the_euler_reads():
+    K, npaths, nsteps, stride, delta = 6, 4, 96, 32, 1.0 / 96
+    system = random_system(K, 1, seed=8)
+    system = GalerkinSystem(K=K, r=1, A=0.3 * system.A, B=0.3 * system.B, basis=system.basis)
+    rng = np.random.default_rng(9)
+    Y = np.cumsum(rng.normal(scale=math.sqrt(delta), size=(npaths, nsteps + 1)), axis=1)
+    p_init, f, one = rng.normal(size=K), rng.normal(size=K), rng.normal(size=K) + 5.0
+    got = galerkin_oracle_estimates(system, p_init, f, one, Y, delta, stride)
+    assert np.array_equal(got, _reads(_euler_reports(system, Y, delta, p_init, stride), f, one))
+
+
+def test_correlated_noise_keeps_the_euler_reads():
+    # rho = 0.5 adds rho d/dx to M, so B is far from symmetric
+    pipe, _, Y = _pipeline("correlated-ou", 8, paths=3)
+    reports = _euler_reports(pipe.system, Y, 3.125e-4, pipe.p_init, 32)
+    got = galerkin_oracle_estimates(pipe.system, pipe.p_init, pipe.f_coeffs, pipe.one_coeffs,
+                                    Y, 3.125e-4, 32)
+    assert np.array_equal(got, _reads(reports, pipe.f_coeffs, pipe.one_coeffs))
+
+
+def test_cubic_sensor_oracle_is_the_splitting():
+    pipe, times, Y = _pipeline("cubic-sensor", 16, paths=3)
+    got = oracle_estimates(pipe, times, Y, 1)
+    fine = galerkin_oracle_estimates(pipe.system, pipe.p_init, pipe.f_coeffs, pipe.one_coeffs,
+                                     Y, 3.125e-4, 32)
+    reports = _splitting_reports(pipe.system, Y, 3.125e-4, pipe.p_init, 32)
+    assert np.array_equal(got, fine)
+    assert np.array_equal(fine, _reads(reports, pipe.f_coeffs, pipe.one_coeffs))
+
+
+@pytest.mark.parametrize("K, bound", [(16, 1.5e-3), (24, 3e-4)])
+def test_oracle_close_to_kalman_bucy_on_ou_linear(K, bound):
+    # rho = 0, so the Kalman-Bucy filter is the exact conditional mean
+    pipe, times, Y = _pipeline("ou-linear", K, paths=20)
+    kb = oracle_estimates(pipe, times, Y, 1)
+    fine = galerkin_oracle_estimates(pipe.system, pipe.p_init, pipe.f_coeffs, pipe.one_coeffs,
+                                     Y, 3.125e-4, 32)
+    assert fine.shape == kb.shape == (20, 101)
+    assert float(np.sqrt(np.mean((fine - kb) ** 2))) <= bound
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_oracle_names_the_first_path_without_mass(symmetric):
+    # path 1 starts at zero, so its mass 1.R is 0 at every report: 0/0
+    K, delta = 4, 0.01
+    system = symmetric_system(K, seed=5) if symmetric else random_system(K, 1, seed=5)
+    rng = np.random.default_rng(6)
+    Y = np.cumsum(rng.normal(scale=0.1, size=(3, 17)), axis=1)
+    p_init = rng.normal(size=(3, K))
+    p_init[1] = 0.0
+    with pytest.raises(FloatingPointError,
+                       match=r"not finite on path 1 at report 0 \(t = 0\)"):
+        galerkin_oracle_estimates(system, p_init, rng.normal(size=K), np.ones(K), Y, delta, 4)
+    with pytest.raises(FloatingPointError,
+                       match=r"not finite on path 0 at report 0 \(t = 0\)"):
+        galerkin_oracle_estimates(system, p_init[0], np.ones(K), np.zeros(K), Y, delta, 4)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5, 3), (3, 4)])
