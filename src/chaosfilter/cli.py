@@ -16,8 +16,7 @@ import warnings
 import numpy as np
 
 from .config import ConfigError, load_config
-from .experiments import (build_pipeline, check_consistency, make_table, project_model, run_sweep,
-                          simulate_full)
+from .experiments import build_pipeline, check_consistency, make_table, run_sweep, simulate_full
 from .hermite import write_rows
 from .propagator import cosine_basis, load_table, save_table, truncation_certificate
 from .reference import compare_on_path, kalman_bucy
@@ -32,6 +31,17 @@ def _parse(path, fn, *args):
         return fn(*args)
     except ValueError as exc:
         raise ConfigError(exc if str(path) in str(exc) else f"{path}: {exc}") from None
+
+
+def _replay(path):
+    """read_observations of the replay file `path`, all of whose sample values must be finite."""
+    delta_obs, r, times, values = _parse(path, read_observations, path)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, l = bad[0]
+        raise ConfigError(f"{path}: sample row {i + 1}: y_{l + 1} = {float(values[i, l])!r} "
+                          f"at t = {float(times[i])!r} is not finite")
+    return delta_obs, r, times, values
 
 
 def _cmd_precompute(args) -> int:
@@ -65,7 +75,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_filter(args) -> int:
     cfg = load_config(args.config)
     table = _parse(args.table, load_table, args.table)
-    delta_obs, r, times, values = _parse(args.obs, read_observations, args.obs)
+    delta_obs, r, times, values = _replay(args.obs)
     check_consistency(cfg, table, delta_obs, r)
     os.makedirs(args.out, exist_ok=True)
     state_csv = os.path.join(args.out, "states.csv")
@@ -77,11 +87,11 @@ def _cmd_filter(args) -> int:
         write_estimate_csv(est_csv, empty)
         print("no samples; wrote header-only CSVs")
         return 0
-    _, _, _, (p_init, f_coeffs, one_coeffs) = project_model(cfg)
+    pipe = build_pipeline(cfg)
     # a table of fewer modes than the config is sampled by its own n (check_consistency)
     t, states, masses, ests = _parse(args.obs, _run_samples, table,
-                                     cosine_basis(cfg.delta, table.n), p_init, times,
-                                     values[None], f_coeffs, one_coeffs)
+                                     cosine_basis(cfg.delta, table.n), pipe.p_init, times,
+                                     values[None], pipe.f_coeffs, pipe.one_coeffs)
     run = FilterRun(times=t, states=states[0], masses=masses[0], estimates=ests[0])
     write_state_csv(state_csv, run)
     write_estimate_csv(est_csv, run)
@@ -105,7 +115,7 @@ def _cmd_compare(args) -> int:
     pipe = build_pipeline(cfg)
     if pipe.bundle.linear is None:
         raise ConfigError(f"model.name: no exact oracle for '{cfg.model_name}'")
-    delta_obs, _, times, values = _parse(args.obs, read_observations, args.obs)
+    delta_obs, _, times, values = _replay(args.obs)
     est_t, est = _parse(args.est, _read_estimate_csv, args.est)
     means, _ = kalman_bucy(pipe.bundle.linear, values[:, 0], delta_obs)
     stride = int(round(cfg.delta / delta_obs))

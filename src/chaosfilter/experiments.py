@@ -7,6 +7,7 @@ recursion, and score it against the exact or fine-grid oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,20 +39,23 @@ class Pipeline:
     bundle: ModelBundle
     basis: SpatialBasis
     grid: object
-    system: GalerkinSystem
     tbasis: TemporalBasis
     p_init: np.ndarray
     f_coeffs: np.ndarray      # projection of f(x) = x_1
     one_coeffs: np.ndarray    # projection of the constant 1
 
+    @functools.cached_property
+    def system(self) -> GalerkinSystem:
+        """The Galerkin matrices of the filter model, assembled on the first read."""
+        return assemble(self.bundle.filter_model, self.basis, self.grid)
 
-def project_model(cfg: ExperimentConfig):
-    """The model bundle, basis and grid of cfg, and the projections of p0, x_1 and 1.
+
+def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
+    """The model, basis and grid of cfg, and the projections of p0, x_1 and 1.
 
     The model is checked on the grid (galerkin.validate_model) before it
-    is projected, so filter, which needs only the projections and never
-    assembles, rejects an invalid model as build_pipeline does.  Returns
-    (bundle, basis, grid, (p_init, f_coeffs, one_coeffs)).
+    is projected, so an invalid model fails here; the matrices are
+    assembled only when Pipeline.system is first read.
     """
     bundle = _bundle(cfg)
     d = bundle.filter_model.d
@@ -60,14 +64,8 @@ def project_model(cfg: ExperimentConfig):
     validate_model(bundle.filter_model, grid)
     coord = (lambda x: x) if d == 1 else (lambda x: x[:, 0])
     one = (lambda x: np.ones(np.size(x))) if d == 1 else (lambda x: np.ones(np.shape(x)[0]))
-    coeffs = project_many([bundle.filter_model.p0, coord, one], basis, grid)
-    return bundle, basis, grid, coeffs
-
-
-def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
-    bundle, basis, grid, (p_init, f_coeffs, one_coeffs) = project_model(cfg)
+    p_init, f_coeffs, one_coeffs = project_many([bundle.filter_model.p0, coord, one], basis, grid)
     return Pipeline(cfg=cfg, bundle=bundle, basis=basis, grid=grid,
-                    system=assemble(bundle.filter_model, basis, grid),
                     tbasis=cosine_basis(cfg.delta, cfg.n), p_init=p_init, f_coeffs=f_coeffs,
                     one_coeffs=one_coeffs)
 

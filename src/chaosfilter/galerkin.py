@@ -295,13 +295,3 @@ def _splitting_reports(system, y_paths, delta, p_init, report_stride):
         out = np.matmul(V, out)
     _check_reports(out, report_stride, nsteps)
     return out
-
-
-def integrate_galerkin_sde_paths(system, y_paths, delta, p_init):
-    """Batched Euler-Maruyama; returns only the final states.
-
-    y_paths: (npaths, nsteps+1, r).  p_init: (K,) shared or (npaths, K).
-    Finiteness is checked once at the end (_euler_reports with a smaller
-    report_stride locates a blow-up step).
-    """
-    return _euler_reports(system, y_paths, delta, p_init, max(np.shape(y_paths)[1] - 1, 1))[-1].T

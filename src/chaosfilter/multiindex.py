@@ -2,18 +2,17 @@
 
 A multi-index assigns a nonnegative count to each pair ``(k, l)`` with
 ``k >= 1`` a temporal mode and ``1 <= l <= r`` a noise channel; only
-finitely many counts are nonzero and zeros are never stored.  These
-objects do the bookkeeping for truncated chaos expansions: enumeration
-of the truncated index set, characteristic sets, the table of Hermite
-polynomials behind the Wick products xi_alpha, and the text form of an
-index.  The truncated set itself is stored as a count array (see
-enumerate_counts); MultiIndex objects are built from its rows on demand.
+finitely many counts are nonzero and zeros are never stored.  This
+module does the bookkeeping for truncated chaos expansions: enumeration
+of the truncated index set, the factorial alpha! of a count row, and the
+table of Hermite polynomials behind the Wick products xi_alpha.  The
+truncated set itself is stored as a count array (see enumerate_counts);
+MultiIndex objects are built from its rows on demand.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +60,6 @@ class MultiIndex:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def __str__(self) -> str:
-        return to_line(self)
-
 
 def _check_entries(entries, r: int) -> None:
     """A ValueError unless entries are those of a MultiIndex with r channels."""
@@ -78,10 +74,6 @@ def _check_entries(entries, r: int) -> None:
         if prev is not None and (k, l) <= prev:
             raise ValueError("entries must be strictly sorted by (k, l)")
         prev = (k, l)
-
-
-def empty_index(r: int) -> MultiIndex:
-    return MultiIndex((), r)
 
 
 def _compositions_desc(total, slots):
@@ -130,34 +122,6 @@ def enumerate_truncated(N: int, n: int, r: int) -> list[MultiIndex]:
     return [MultiIndex(row_entries(row, r), r) for row in canonical_rows(N, n, r)]
 
 
-@dataclass(frozen=True)
-class CharacteristicSet:
-    """Ordered multiset of (mode, channel) pairs encoding a multi-index.
-
-    Pairs are sorted by mode, then channel, and the pair (k, l) appears
-    exactly count(k, l) times, so the list has length |alpha|.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def to_multiindex(self, r: int) -> MultiIndex:
-        return MultiIndex.from_dict(Counter(self.pairs), r)
-
-
-def characteristic_set(alpha: MultiIndex) -> CharacteristicSet:
-    return CharacteristicSet(tuple(kl for kl, c in alpha.entries for _ in range(c)))
-
-
-def lower(alpha: MultiIndex, k: int, l: int) -> MultiIndex:
-    """Decrement entry (k, l) toward zero, leaving the rest unchanged."""
-    counts = dict(alpha.entries)
-    counts[(k, l)] = max(counts.get((k, l), 0) - 1, 0)     # from_dict drops the zero
-    return MultiIndex.from_dict(counts, alpha.r)
-
-
 def count_factorial(counts) -> int:
     """The product of c! over an index's per-slot counts: alpha! (1 for none)."""
     out = 1
@@ -167,11 +131,6 @@ def count_factorial(counts) -> int:
                              f"({MAX_ENTRY_FOR_FACTORIAL}); refusing to overflow")
         out *= math.factorial(c)
     return out
-
-
-def factorial(alpha: MultiIndex) -> int:
-    """alpha! as the product of per-slot count factorials (1 for empty)."""
-    return count_factorial(c for _, c in alpha.entries)
 
 
 def hermite_table(N: int, x) -> np.ndarray:
@@ -192,14 +151,3 @@ def hermite_table(N: int, x) -> np.ndarray:
         np.multiply(x, out[m], out=row)
         row -= m * out[m - 1]
     return out
-
-
-def format_entries(entries) -> str:
-    """'k:l:count' triples separated by spaces, '-' if empty: the text form of an index."""
-    return " ".join(f"{k}:{l}:{c}" for (k, l), c in entries) or "-"
-
-
-def to_line(alpha: MultiIndex) -> str:
-    """The text form of alpha (format_entries)."""
-    return format_entries(alpha.entries)
-

@@ -372,10 +372,10 @@ def _recursion(table: PropagatorTable, xi: np.ndarray, p_init, times, f_coeffs, 
     p = np.repeat(start.p[None], P, axis=0)
     states = np.empty((P, M + 1, K))
     states[:, 0] = p
-    H = _hermite_table(table, xi)
     block = max(1, _BLOCK_ENTRIES // (P * K * K))
     # the checks below name every overflow and NaN, so numpy's warnings would only repeat them
     with np.errstate(over="ignore", invalid="ignore"):
+        H = _hermite_table(table, xi)
         for b in range(0, M, block):
             W = _chaos_weights(table, H[:, b:b + block])          # (P, c, |J|)
             Q = _weighted_sum(table, W.reshape(-1, W.shape[-1])).reshape(P, -1, K, K)
@@ -412,7 +412,8 @@ def _run_samples(table: PropagatorTable, tbasis: TemporalBasis, p_init, times, Y
     per = _samples_per_window(times, tbasis.delta)
     starts = np.arange(0, times.size - 1, per)
     weights = _xi_weights(tbasis, times[per] - times[0], per + 1)
-    xi = np.matmul(weights, Y[:, starts[:, None] + np.arange(per + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):     # _recursion names what follows
+        xi = np.matmul(weights, Y[:, starts[:, None] + np.arange(per + 1)])
     labels = np.cumsum(np.concatenate([times[:1], times[starts + per] - times[starts]]))
     return (labels, *_recursion(table, xi, p_init, labels, f_coeffs, one_coeffs))
 

@@ -1,25 +1,28 @@
 """Reference forms that only the tests call.
 
-Pointwise operators, a one-path Euler driver, a per-step, per-path
-loop of the exact-noise splitting, the scalar Hermite
+Pointwise operators, one-path and final-state Euler drivers, a per-step,
+per-path loop of the exact-noise splitting, the scalar Hermite
 polynomial with the dict-keyed Wick product built on it, a Sobolev norm
 probe, the per-window loop of the online recursion, a one-path
-simulation, a one-index flow, and the index set's count array and
-lowering structure built from MultiIndex objects.  The library computes
-each of these in a batched form or on the count array; the tests check
-it against these.  Last, the writer of the retired version-1 table file,
-which the reader must reject by name.
+simulation, a one-index flow, the index helpers on MultiIndex objects
+(the empty index, characteristic sets, lowering and alpha!), and the
+index set's count array and lowering structure built from them.  The
+library computes each of these in a batched form or on the count array;
+the tests check it against these.  Last, the writer of the retired
+version-1 table file, which the reader must reject by name.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from chaosfilter.galerkin import FilterModel, _euler_reports
 from chaosfilter.hermite import QuadratureGrid, SpatialBasis, basis_tables
-from chaosfilter.multiindex import (MultiIndex, enumerate_counts, factorial, hermite_table, lower,
+from chaosfilter.multiindex import (MultiIndex, count_factorial, enumerate_counts, hermite_table,
                                     row_entries)
 from chaosfilter.propagator import _integrate_stacked, default_substeps
 from chaosfilter.runtime import (_FLOOR_REL, DegenerateNormalizationError, FilterState,
@@ -80,6 +83,16 @@ def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
         raise ValueError("report_stride must divide the number of steps")
     y = np.reshape(y_path, (1, len(y_path), -1))
     return _euler_reports(system, y, delta, p_init, report_stride)[:, :, 0]
+
+
+def integrate_galerkin_sde_paths(system, y_paths, delta, p_init):
+    """Batched Euler-Maruyama; returns only the final states.
+
+    y_paths: (npaths, nsteps+1, r).  p_init: (K,) shared or (npaths, K).
+    Finiteness is checked once at the end (_euler_reports with a smaller
+    report_stride locates a blow-up step).
+    """
+    return _euler_reports(system, y_paths, delta, p_init, max(np.shape(y_paths)[1] - 1, 1))[-1].T
 
 
 def splitting_loop(system, y_paths, delta, p_init, report_stride):
@@ -184,6 +197,43 @@ def simulate(config: SimulationConfig, x0=None):
     return times, X[0], Y[0]
 
 
+def empty_index(r: int) -> MultiIndex:
+    return MultiIndex((), r)
+
+
+@dataclass(frozen=True)
+class CharacteristicSet:
+    """Ordered multiset of (mode, channel) pairs encoding a multi-index.
+
+    Pairs are sorted by mode, then channel, and the pair (k, l) appears
+    exactly count(k, l) times, so the list has length |alpha|.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def to_multiindex(self, r: int) -> MultiIndex:
+        return MultiIndex.from_dict(Counter(self.pairs), r)
+
+
+def characteristic_set(alpha: MultiIndex) -> CharacteristicSet:
+    return CharacteristicSet(tuple(kl for kl, c in alpha.entries for _ in range(c)))
+
+
+def lower(alpha: MultiIndex, k: int, l: int) -> MultiIndex:
+    """Decrement entry (k, l) toward zero, leaving the rest unchanged."""
+    counts = dict(alpha.entries)
+    counts[(k, l)] = max(counts.get((k, l), 0) - 1, 0)     # from_dict drops the zero
+    return MultiIndex.from_dict(counts, alpha.r)
+
+
+def factorial(alpha: MultiIndex) -> int:
+    """alpha! as the product of per-slot count factorials (1 for empty)."""
+    return count_factorial(c for _, c in alpha.entries)
+
+
 def slot_counts(indices, n: int, r: int) -> np.ndarray:
     """Count array of an index list: column (k-1)*r + l-1 of row a holds alpha_k^l."""
     out = np.zeros((len(indices), n * r), dtype=np.intp)
@@ -253,7 +303,7 @@ def solve_phi(system, tbasis, alpha: MultiIndex, zeta, substeps: int | None = No
 
 
 def save_table_v1(path, table) -> None:
-    """A table file of version 1: twelve header lines, then per index its line and matrix."""
+    """A version-1 table file: twelve header lines, then per index its k:l:c line and matrix."""
     b = table.basis
     fields = {"version": 1, "format": "binary", "K": table.K, "r": table.r,
               "delta": f"{table.delta:.17g}", "N": table.N, "n": table.n,
@@ -263,6 +313,7 @@ def save_table_v1(path, table) -> None:
               "indices": len(table.counts)}
     data = "".join(f"{key}={val}\n" for key, val in fields.items()).encode("ascii")
     for alpha, mat in zip(table.indices, table.matrices):
-        data += (str(alpha) + "\n").encode("ascii") + mat.astype("<f8").tobytes()
+        line = " ".join(f"{k}:{l}:{c}" for (k, l), c in alpha.entries) or "-"
+        data += (line + "\n").encode("ascii") + mat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(data)

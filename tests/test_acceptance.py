@@ -15,18 +15,17 @@ from scipy.linalg import expm
 from chaosfilter.config import ExperimentConfig
 from chaosfilter.experiments import (build_pipeline, chaos_estimates, galerkin_oracle_estimates,
                                      make_table, oracle_estimates, simulate_full)
-from chaosfilter.galerkin import assemble, integrate_galerkin_sde_paths
+from chaosfilter.galerkin import assemble
 from chaosfilter.hermite import basis_tables, build_basis, gram_matrix, project
 from chaosfilter.models import ou_linear
-from chaosfilter.multiindex import (MultiIndex, characteristic_set, enumerate_truncated,
-                                    factorial, lower)
+from chaosfilter.multiindex import MultiIndex, enumerate_truncated
 from chaosfilter.propagator import closed_form_order1, cosine_basis, parseval_mass, precompute_table
 from chaosfilter.runtime import (FilterState, ObservationWindow, advance, cut_windows, estimate,
                                  functional, run_filter, step_matrix, write_estimate_csv,
                                  write_state_csv, xi_integrals)
 
 from conftest import gaussian_p0
-from oracles import solve_phi
+from oracles import characteristic_set, factorial, integrate_galerkin_sde_paths, lower, solve_phi
 
 
 class Criterion:

@@ -181,6 +181,17 @@ def test_diverging_path_is_named_among_good_ones():
     assert np.array_equal(est, np.full((3, 5), 2.0))
 
 
+def test_non_finite_sample_is_named_without_a_numpy_warning():
+    pipe, table, times = scalar_pipe()
+    Y = np.zeros((1, times.size, 1))
+    Y[0, 8 + 3] = np.inf            # inside the second window
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError, match=r"path 0 .*window 2 at t=2\.0"):
+            experiments.chaos_estimates(pipe, table, times, Y, 1)
+    assert not caught
+
+
 def test_collapsed_path_is_named_with_mass_and_floor():
     pipe, table, times = scalar_pipe()
     Y = np.zeros((3, times.size, 1))

@@ -10,6 +10,7 @@ import pytest
 from chaosfilter import experiments
 from chaosfilter.cli import main
 from chaosfilter.config import ConfigError, parse_config
+from chaosfilter.galerkin import assemble
 from chaosfilter.propagator import TemporalBasis, cosine_basis, load_table
 from chaosfilter.reference import compare_on_path, kalman_bucy
 from chaosfilter.runtime import (_BLOCK_ENTRIES, cut_windows, read_observations, run_filter,
@@ -229,6 +230,68 @@ def test_filter_rejects_an_invalid_model_as_build_pipeline_does(tmp_path, capsys
     assert main(["filter", "--config", write_cfg(tmp_path, narrow, name="narrow.cfg"),
                  "--table", str(table), "--obs", str(obs), "--out", str(tmp_path / "x")]) == 1
     assert f"error [filter]: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["filter", "compare"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_replay_sample_that_is_not_finite_is_validation_failure(tmp_path, capsys, command, value):
+    cfg_path = write_cfg(tmp_path)
+    table, obs, est = tmp_path / "table.tbl", tmp_path / "obs.txt", tmp_path / "estimates.csv"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    values = np.zeros((65, 1))
+    values[6] = float(value)
+    write_observations(obs, 0.00625, GRID, values)
+    est.write_text("t,estimate,mass\n" + "".join(f"{t!r},0.5,1\n" for t in GRID[::16].tolist()))
+    extra = {"filter": ["--table", str(table)], "compare": ["--est", str(est)]}[command]
+    assert main([command, "--config", cfg_path, "--obs", str(obs), "--out", str(tmp_path / "x"),
+                 *extra]) == 2
+    assert (f"invalid input [{command}]: {obs}: sample row 7: y_1 = {value} at "
+            f"t = {float(GRID[6])!r} is not finite") in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_overflowing_replay_value_is_reported_by_the_named_error_alone(tmp_path, capsys):
+    # at N=2 the Hermite table squares xi, which overflows for a sample of 1e200
+    cfg_path = write_cfg(tmp_path, BASE.replace("discretization.N = 1", "discretization.N = 2"))
+    table, obs = tmp_path / "table.tbl", tmp_path / "obs.txt"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+    values = np.zeros((65, 1))
+    values[6] = 1e200
+    write_observations(obs, 0.00625, GRID, values)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["filter", "--config", cfg_path, "--table", str(table), "--obs", str(obs),
+                     "--out", str(tmp_path / "x")]) == 1
+    assert not caught
+    assert ("error [filter]: filter state of path 0 became non-finite in window 1 at t=0.1"
+            in capsys.readouterr().err)
+
+
+def test_only_the_commands_that_need_the_matrices_assemble_them(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path)
+    table, sim, run = tmp_path / "table.tbl", tmp_path / "sim", tmp_path / "run"
+    assert main(["precompute", "--config", cfg_path, "--out", str(table)]) == 0
+
+    def refuse(*args):
+        raise AssertionError("assemble was called")
+
+    monkeypatch.setattr(experiments, "assemble", refuse)
+    obs = sim / "obs_000.txt"
+    assert main(["simulate", "--config", cfg_path, "--out", str(sim)]) == 0
+    assert main(["filter", "--config", cfg_path, "--table", str(table), "--obs", str(obs),
+                 "--out", str(run)]) == 0
+    assert main(["compare", "--config", cfg_path, "--obs", str(obs),
+                 "--est", str(run / "estimates.csv"), "--out", str(tmp_path / "cmp")]) == 0
+
+
+def test_pipeline_assembles_its_system_once_on_the_first_read():
+    pipe = experiments.build_pipeline(parse_config(BASE))
+    system = pipe.system
+    ref = assemble(pipe.bundle.filter_model, pipe.basis, pipe.grid)
+    assert (system.K, system.r) == (ref.K, ref.r) and system.basis is ref.basis
+    assert system.A.tobytes() == ref.A.tobytes() and system.B.tobytes() == ref.B.tobytes()
+    assert pipe.system is system
 
 
 def test_filter_empty_observations(tmp_path):

@@ -6,15 +6,15 @@ from scipy.linalg import expm
 
 from chaosfilter.config import parse_config
 from chaosfilter.galerkin import (FilterModel, GalerkinSystem, _euler_reports, _expm_rk4,
-                                  _splitting_reports, assemble, dissipativity_gap,
-                                  integrate_galerkin_sde_paths, validate_model)
+                                  _splitting_reports, assemble, dissipativity_gap, validate_model)
 from chaosfilter.experiments import (build_pipeline, galerkin_oracle_estimates, oracle_estimates,
                                      simulate_full)
 from chaosfilter.hermite import basis_tables, build_basis
 from chaosfilter.models import cubic_sensor
 
 from conftest import gaussian_p0, ou_test_model
-from oracles import apply_M, apply_generator, integrate_galerkin_sde, splitting_loop
+from oracles import (apply_M, apply_generator, integrate_galerkin_sde, integrate_galerkin_sde_paths,
+                     splitting_loop)
 
 
 def test_apply_generator_examples():

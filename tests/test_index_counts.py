@@ -16,12 +16,12 @@ import pytest
 from chaosfilter import experiments, propagator
 from chaosfilter.cli import main
 from chaosfilter.config import parse_config
-from chaosfilter.multiindex import MultiIndex, enumerate_counts, enumerate_truncated, factorial
+from chaosfilter.multiindex import MultiIndex, enumerate_counts, enumerate_truncated
 from chaosfilter.propagator import (encode_header, load_table, parseval_mass, precompute_table,
                                     save_table, truncation_certificate)
 from chaosfilter.runtime import write_observations
 
-from oracles import coupling_lowering, slot_counts
+from oracles import coupling_lowering, factorial, slot_counts
 
 SETS = [(3, 8, 1), (2, 4, 1), (3, 3, 2), (0, 2, 1), (4, 4, 1), (2, 5, 3)]   # (N, n, r)
 

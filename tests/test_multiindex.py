@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
-from chaosfilter.multiindex import (MultiIndex, characteristic_set, empty_index,
-                                    enumerate_truncated, factorial, hermite_table,
-                                    lower, to_line)
+from chaosfilter.multiindex import MultiIndex, enumerate_truncated, hermite_table
 from chaosfilter.runtime import _hermite_table
 
-from oracles import hermite_poly, slot_counts, xi_eval
+from oracles import (characteristic_set, empty_index, factorial, hermite_poly, lower, slot_counts,
+                     xi_eval)
 
 # The r=2 worked reference index: nonzero entries
 # a_2^1 = 1, a_4^1 = 2, a_5^1 = 3, a_1^2 = 1, a_2^2 = 2, a_6^2 = 1.
@@ -191,11 +190,6 @@ def test_xi_statistical_orthonormality():
             se = prod.std(ddof=1) / math.sqrt(ndraws)
             target = 1.0 if i == j else 0.0
             assert abs(mean - target) <= 5 * se + 1e-12
-
-
-def test_serialization_round_trip():
-    assert to_line(empty_index(2)) == "-"
-    assert to_line(ref_index()) == "1:2:1 2:1:1 2:2:2 4:1:2 5:1:3 6:2:1" == str(ref_index())
 
 
 def test_multiindex_validation():

@@ -12,16 +12,17 @@ from scipy.linalg import eigh, expm
 
 from chaosfilter import experiments, propagator
 from chaosfilter.config import parse_config
-from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
+from chaosfilter.galerkin import GalerkinSystem
 from chaosfilter.hermite import build_basis, project
-from chaosfilter.multiindex import MultiIndex, empty_index, enumerate_counts, enumerate_truncated
+from chaosfilter.multiindex import MultiIndex, enumerate_counts, enumerate_truncated
 from chaosfilter.propagator import (PropagatorTable, brownian_second_moment, closed_form_order1,
                                     cosine_basis, default_substeps, load_table, parseval_mass,
                                     precompute_table, rk4, save_table, truncation_certificate)
 from chaosfilter.runtime import ObservationWindow, step_matrix, xi_integrals
 
 from conftest import gaussian_p0
-from oracles import coupling_groups, coupling_lowering, save_table_v1, solve_phi
+from oracles import (coupling_groups, coupling_lowering, empty_index, integrate_galerkin_sde_paths,
+                     save_table_v1, solve_phi)
 
 
 def scalar_system(a=0.0, b=0.7):

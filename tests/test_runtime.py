@@ -6,9 +6,9 @@ from scipy.linalg import expm
 
 from chaosfilter import experiments
 from chaosfilter.config import parse_config
-from chaosfilter.galerkin import GalerkinSystem, integrate_galerkin_sde_paths
+from chaosfilter.galerkin import GalerkinSystem
 from chaosfilter.hermite import build_basis, project
-from chaosfilter.multiindex import factorial, hermite_table
+from chaosfilter.multiindex import hermite_table
 from chaosfilter.propagator import cosine_basis, precompute_table
 from chaosfilter.runtime import (DegenerateNormalizationError, FilterRun, FilterState,
                                  ObservationWindow, _chaos_weights, _hermite_table,
@@ -18,7 +18,7 @@ from chaosfilter.runtime import (DegenerateNormalizationError, FilterRun, Filter
                                  write_samples, write_state_csv, xi_integrals)
 
 from conftest import gaussian_p0
-from oracles import xi_eval
+from oracles import factorial, integrate_galerkin_sde_paths, xi_eval
 
 
 def make_window(delta=1.0, npts=129, fn=None, r=1):
