@@ -117,7 +117,13 @@ def _cmd_compare(args) -> int:
         raise ConfigError(f"model.name: no exact oracle for '{cfg.model_name}'")
     delta_obs, _, times, values = _replay(args.obs)
     est_t, est = _parse(args.est, _read_estimate_csv, args.est)
-    means, _ = kalman_bucy(pipe.bundle.linear, values[:, 0], delta_obs)
+    with np.errstate(over="ignore", invalid="ignore"):    # the first overflow is named below
+        means, _ = kalman_bucy(pipe.bundle.linear, values[:, 0], delta_obs)
+        huge = np.flatnonzero(~np.isfinite(means * means))
+    if huge.size:
+        j = huge[0]
+        raise ConfigError(f"{args.obs}: sample row {j + 1}: at t = {float(times[j])!r} the exact "
+                          f"filter's mean {float(means[j])!r} is too large to score")
     stride = int(round(cfg.delta / delta_obs))
     oracle_t, oracle = times[::stride], means[::stride]
     if oracle.size != est.size:
@@ -128,7 +134,13 @@ def _cmd_compare(args) -> int:
         i = off[0]
         raise ConfigError(f"{args.est}: row {i + 1}: t = {float(est_t[i])!r} is off the "
                           f"replay's window grid, expected {float(oracle_t[i])!r}")
-    summary = compare_on_path(est, oracle, est_t, oracle_t)
+    with np.errstate(over="ignore"):
+        summary = compare_on_path(est, oracle, est_t, oracle_t)
+    if np.isfinite(est).all() and not np.isfinite(summary.rmse):   # the squares overflow
+        i = np.argmax(np.abs(summary.errors))
+        raise ConfigError(f"{args.est}: row {i + 1}: estimate {float(est[i])!r} at t = "
+                          f"{float(est_t[i])!r} is too far from the exact filter's mean "
+                          f"{float(oracle[i])!r} to score")
     os.makedirs(args.out, exist_ok=True)
     write_rows(os.path.join(args.out, "compare.csv"), "t,estimate,oracle,error\n",
                "%.17g,%.17g,%.17g,%.17g\n", np.column_stack([est_t, est, oracle, est - oracle]))

@@ -185,14 +185,14 @@ def _batch_inputs(system, y_paths, p_init, report_stride):
     return dY, P
 
 
-def _check_reports(out, report_stride, nsteps):
-    """Raise on the first report holding a non-finite entry, naming the steps it covers."""
-    finite = np.isfinite(out[1:]).all(axis=(1, 2))
-    if not finite.all():
-        w = int(np.argmin(finite)) + 1
+def _check_reports(out, report_stride, nsteps, delta):
+    """Raise on the first report holding a non-finite entry: its steps, first such path and time."""
+    bad = ~np.isfinite(out[1:]).all(axis=1)          # (nreports, npaths)
+    if bad.any():
+        w, path = np.argwhere(bad)[0] + (1, 0)
         raise FloatingPointError(
             f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
-            f" of {nsteps}")
+            f" of {nsteps}; first non-finite on path {path} at t = {w * report_stride * delta:.6g}")
 
 
 def _euler_reports(system, y_paths, delta, p_init, report_stride):
@@ -202,7 +202,8 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
     p_init: (K,) shared or (npaths, K).  Returns the states after every
     report_stride steps (a trailing partial stride is dropped), initial ones
     included, as (nreports + 1, K, npaths); raises on the first non-finite
-    report, naming the steps it covers.
+    report, naming the steps it covers, its first non-finite path and its
+    time.
 
     Each step is four numpy calls, Z = W P, Z *= c, Z_0 += Z_l, P += Z_0,
     made through bound methods with positional outputs.  Finiteness is
@@ -238,7 +239,7 @@ def _euler_reports(system, y_paths, delta, p_init, report_stride):
                         add(Z0, Zl, Z0)
                     add(P, Z0, P)
             out[w] = P
-    _check_reports(out, report_stride, nsteps)
+    _check_reports(out, report_stride, nsteps, delta)
     return out
 
 
@@ -293,5 +294,5 @@ def _splitting_reports(system, y_paths, delta, p_init, report_stride):
                     multiply(tmp, d, q)
             out[w] = q
         out = np.matmul(V, out)
-    _check_reports(out, report_stride, nsteps)
+    _check_reports(out, report_stride, nsteps, delta)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -137,13 +137,11 @@ def hermite_function_derivatives(H: np.ndarray):
     nmax = H.shape[0] - 1
     if nmax < 2:
         raise ValueError("value table must go at least two degrees past the target")
-    D1 = np.empty((nmax - 1, H.shape[1]))
-    D2 = np.empty((nmax - 1, H.shape[1]))
-    for n in range(nmax - 1):
-        lo = np.sqrt(n / 2.0) * H[n - 1] if n >= 1 else 0.0
-        D1[n] = lo - np.sqrt((n + 1) / 2.0) * H[n + 1]
-        lolo = np.sqrt(n * (n - 1)) / 2.0 * H[n - 2] if n >= 2 else 0.0
-        D2[n] = lolo - (2 * n + 1) / 2.0 * H[n] + np.sqrt((n + 1) * (n + 2)) / 2.0 * H[n + 2]
+    n = np.arange(nmax - 1)[:, None]
+    below = np.concatenate([np.zeros((2, H.shape[1])), H])   # below[n + 2] = h_n, zero for n < 0
+    D1 = np.sqrt(n / 2.0) * below[1:nmax] - np.sqrt((n + 1) / 2.0) * H[1:nmax]
+    D2 = (np.sqrt(n * (n - 1)) / 2.0 * below[:nmax - 1] - (2 * n + 1) / 2.0 * H[:nmax - 1]
+          + np.sqrt((n + 1) * (n + 2)) / 2.0 * H[2:])
     return D1, D2
 
 
@@ -152,48 +150,31 @@ def basis_tables(basis: SpatialBasis, nodes: np.ndarray, derivatives: int = 0):
 
     nodes: (npts, d).  Returns V (K, npts); with derivatives >= 1 also
     G (K, d, npts); with derivatives == 2 also S (K, d, d, npts), the
-    symmetric table of second partials.
+    symmetric table of second partials.  Each table is a product of
+    per-axis factor tables, gathered at the basis's degrees on each axis
+    and multiplied in axis order.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    npts = nodes.shape[0]
-    nmax = basis.max_degree
-    axis_H = [hermite_function_values(nmax + 2, nodes[:, j]) for j in range(basis.d)]
-    if derivatives:
-        axis_D = [hermite_function_derivatives(axis_H[j]) for j in range(basis.d)]
-
-    V = np.empty((basis.K, npts))
-    for k, g in enumerate(basis.gammas):
-        v = np.ones(npts)
-        for j, n in enumerate(g):
-            v = v * axis_H[j][n]
-        V[k] = v
+    d, degrees = basis.d, np.array(basis.gammas).T          # degrees[j, k] = gamma_k[j]
+    axis_H = [hermite_function_values(basis.max_degree + 2, nodes[:, j]) for j in range(d)]
+    H = [axis_H[j][degrees[j]] for j in range(d)]           # H[j][k] = h_{gamma_k[j]}(x_j)
+    V = reduce(np.multiply, H)
     if derivatives == 0:
         return V
+    D = [hermite_function_derivatives(axis_H[j]) for j in range(d)]   # (first, second) per axis
+    D1 = [D[j][0][degrees[j]] for j in range(d)]
 
-    G = np.empty((basis.K, basis.d, npts))
-    for k, g in enumerate(basis.gammas):
-        for i in range(basis.d):
-            v = axis_D[i][0][g[i]].copy()
-            for j, n in enumerate(g):
-                if j != i:
-                    v *= axis_H[j][n]
-            G[k, i] = v
+    def times_other_axes(first, axes):
+        return reduce(np.multiply, [H[j] for j in range(d) if j not in axes], first)
+
+    G = np.stack([times_other_axes(D1[i], {i}) for i in range(d)], axis=1)
     if derivatives == 1:
         return V, G
-
-    S = np.empty((basis.K, basis.d, basis.d, npts))
-    for k, g in enumerate(basis.gammas):
-        for i in range(basis.d):
-            for j in range(i, basis.d):
-                if i == j:
-                    v = axis_D[i][1][g[i]].copy()
-                else:
-                    v = axis_D[i][0][g[i]] * axis_D[j][0][g[j]]
-                for jj, n in enumerate(g):
-                    if jj != i and jj != j:
-                        v *= axis_H[jj][n]
-                S[k, i, j] = v
-                S[k, j, i] = v
+    S = np.empty((basis.K, d, d, nodes.shape[0]))
+    for i in range(d):
+        for j in range(i, d):
+            first = D[i][1][degrees[i]] if i == j else D1[i] * D1[j]
+            S[:, i, j] = S[:, j, i] = times_other_axes(first, {i, j})
     return V, G, S
 
 

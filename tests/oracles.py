@@ -2,7 +2,8 @@
 
 Pointwise operators, one-path and final-state Euler drivers, a per-step,
 per-path loop of the exact-noise splitting, the scalar Hermite
-polynomial with the dict-keyed Wick product built on it, a Sobolev norm
+polynomial with the dict-keyed Wick product built on it, the per-index loops
+of the Hermite-function basis and derivative tables, a Sobolev norm
 probe, the per-window loop of the online recursion, a one-path
 simulation, a one-index flow, the index helpers on MultiIndex objects
 (the empty index, characteristic sets, lowering and alpha!), and the
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from chaosfilter.galerkin import FilterModel, _euler_reports
-from chaosfilter.hermite import QuadratureGrid, SpatialBasis, basis_tables
+from chaosfilter.hermite import (QuadratureGrid, SpatialBasis, basis_tables,
+                                 hermite_function_values)
 from chaosfilter.multiindex import (MultiIndex, count_factorial, enumerate_counts, hermite_table,
                                     row_entries)
 from chaosfilter.propagator import _integrate_stacked, default_substeps
@@ -75,7 +77,7 @@ def integrate_galerkin_sde(system, y_path, delta, p_init, report_stride=1):
     delta (a (nsteps+1,) vector is fine when r == 1).  Returns the state
     at every report_stride-th grid time, initial state included, as an
     array of shape (nreports + 1, K).  Raises on the first non-finite
-    report, naming the steps it covers.
+    report, naming the steps it covers and its time.
     """
     if report_stride < 1:
         raise ValueError(f"report_stride must be >= 1, got {report_stride}")
@@ -149,6 +151,59 @@ def h1_norm(basis: SpatialBasis, k: int, grid: QuadratureGrid) -> float:
     mass = np.sum(grid.weights * V[k] * V[k])
     grad = sum(np.sum(grid.weights * G[k, i] * G[k, i]) for i in range(basis.d))
     return float(np.sqrt(mass + grad))
+
+
+def hermite_function_derivatives_loop(H: np.ndarray):
+    """hermite.hermite_function_derivatives one degree at a time."""
+    nmax = H.shape[0] - 1
+    D1 = np.empty((nmax - 1, H.shape[1]))
+    D2 = np.empty((nmax - 1, H.shape[1]))
+    for n in range(nmax - 1):
+        lo = np.sqrt(n / 2.0) * H[n - 1] if n >= 1 else 0.0
+        D1[n] = lo - np.sqrt((n + 1) / 2.0) * H[n + 1]
+        lolo = np.sqrt(n * (n - 1)) / 2.0 * H[n - 2] if n >= 2 else 0.0
+        D2[n] = lolo - (2 * n + 1) / 2.0 * H[n] + np.sqrt((n + 1) * (n + 2)) / 2.0 * H[n + 2]
+    return D1, D2
+
+
+def basis_tables_loop(basis: SpatialBasis, nodes: np.ndarray, derivatives: int = 0):
+    """hermite.basis_tables one basis index, axis and derivative pair at a time."""
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    npts = nodes.shape[0]
+    axis_H = [hermite_function_values(basis.max_degree + 2, nodes[:, j]) for j in range(basis.d)]
+    axis_D = [hermite_function_derivatives_loop(H) for H in axis_H]
+    V = np.empty((basis.K, npts))
+    for k, g in enumerate(basis.gammas):
+        v = np.ones(npts)
+        for j, n in enumerate(g):
+            v = v * axis_H[j][n]
+        V[k] = v
+    if derivatives == 0:
+        return V
+    G = np.empty((basis.K, basis.d, npts))
+    for k, g in enumerate(basis.gammas):
+        for i in range(basis.d):
+            v = axis_D[i][0][g[i]].copy()
+            for j, n in enumerate(g):
+                if j != i:
+                    v *= axis_H[j][n]
+            G[k, i] = v
+    if derivatives == 1:
+        return V, G
+    S = np.empty((basis.K, basis.d, basis.d, npts))
+    for k, g in enumerate(basis.gammas):
+        for i in range(basis.d):
+            for j in range(i, basis.d):
+                if i == j:
+                    v = axis_D[i][1][g[i]].copy()
+                else:
+                    v = axis_D[i][0][g[i]] * axis_D[j][0][g[j]]
+                for jj, n in enumerate(g):
+                    if jj != i and jj != j:
+                        v *= axis_H[jj][n]
+                S[k, i, j] = v
+                S[k, j, i] = v
+    return V, G, S
 
 
 def per_window_recursion(table, xi, p_init, times, f_coeffs, one_coeffs, floor_rel=_FLOOR_REL):

@@ -670,6 +670,40 @@ def test_misaligned_estimates_csv_is_validation_failure(tmp_path, capsys, shift,
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("where", ["replay", "one estimate", "every estimate"])
+def test_value_too_large_to_score_is_validation_failure_without_a_numpy_warning(tmp_path, capsys,
+                                                                                where):
+    # a replay sample or an estimate of 1e200 makes its squared error overflow; estimates of
+    # about 1e154 keep each square finite, but not their sum
+    t = np.linspace(0.0, 0.4, 65)
+    values, est = np.sin(7 * t)[:, None], np.full(5, 0.5)
+    if where == "replay":
+        values[6] = 1e200
+    elif where == "one estimate":
+        est[2] = 1e200
+    else:
+        est = np.array([1e154, 1e154, 1.1e154, 1e154, 1e154])
+    cfg_path, obs, est_path = _compare_inputs(tmp_path, "t,estimate,mass\n" + "".join(
+        f"{a!r},{e!r},1\n" for a, e in zip(t[::16].tolist(), est.tolist())))
+    write_observations(obs, 0.00625, t, values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare", "--config", cfg_path, "--obs", str(obs), "--est", str(est_path),
+                     "--out", str(tmp_path / "cmp")]) == 2
+    assert not caught
+    delta_obs, _, times, values = read_observations(obs)
+    linear = experiments.build_pipeline(parse_config(BASE)).bundle.linear
+    means = kalman_bucy(linear, values[:, 0], delta_obs)[0]
+    if where == "replay":
+        expected = (f"{obs}: sample row 7: at t = {float(times[6])!r} the exact filter's mean "
+                    f"{float(means[6])!r} is too large to score")
+    else:
+        expected = (f"{est_path}: row 3: estimate {float(est[2])!r} at t = {float(t[32])!r} is too "
+                    f"far from the exact filter's mean {float(means[32])!r} to score")
+    assert f"invalid input [compare]: {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_compare_csvs_match_the_f_string_writer_byte_for_byte(tmp_path):
     t = np.linspace(0.0, 0.4, 5)
     est = np.array([1 / 3, -0.0, 1e-300, -2.5e17, np.pi])

@@ -217,7 +217,8 @@ def test_integrate_blowup_names_report_steps():
     basis = build_basis(1, 1)
     sys_ = GalerkinSystem(K=1, r=1, A=np.array([[1e4]]), B=np.array([[[0.0]]]), basis=basis)
     # 10001^78 overflows, so the report covering steps 76..100 is the first bad one
-    with pytest.raises(FloatingPointError, match=r"steps 76\.\.100 of 400"):
+    with pytest.raises(FloatingPointError, match=r"steps 76\.\.100 of 400; first non-finite "
+                                                 r"on path 0 at t = 100$"):
         integrate_galerkin_sde(sys_, np.zeros(401), 1.0, np.array([1.0]), report_stride=25)
 
 
@@ -243,9 +244,11 @@ def seed_euler_reports(system, y_paths, delta, p_init, report_stride):
                     incr += (B[l] @ P) * dY[:, j, l]
                 P = P + incr
             if not np.all(np.isfinite(P)):
+                path = np.flatnonzero(~np.isfinite(P).all(axis=0))[0]
                 raise FloatingPointError(
                     f"state blew up in steps {(w - 1) * report_stride + 1}..{w * report_stride}"
-                    f" of {nsteps}")
+                    f" of {nsteps}; first non-finite on path {path} at t ="
+                    f" {w * report_stride * delta:.6g}")
             out[w] = P
     return out
 
@@ -292,20 +295,21 @@ def _growth_system(K, r, rate):
 
 def _blowup_first_report():
     # 10001**78 overflows at step 78
-    return _growth_system(3, 1, 1e4), np.zeros((2, 401)), 1.0, np.ones(3), 100, "steps 1..100 of 400"
+    return (_growth_system(3, 1, 1e4), np.zeros((2, 401)), 1.0, np.ones(3), 100,
+            "steps 1..100 of 400; first non-finite on path 0 at t = 100")
 
 
 def _blowup_last_report_before_dropped_steps():
     # 7.6**350 overflows at step 350, in the last whole report; steps 401..410 are dropped
     return (_growth_system(3, 1, 6.6), np.zeros((2, 411)), 1.0, np.ones(3), 100,
-            "steps 301..400 of 410")
+            "steps 301..400 of 410; first non-finite on path 0 at t = 400")
 
 
 def _blowup_one_path_of_several():
     p_init = np.zeros((4, 3))
     p_init[2] = 1.0                     # the other paths stay 0
     return (_growth_system(3, 1, 6.6), np.zeros((4, 401)), 1.0, p_init, 50,
-            "steps 301..350 of 400")
+            "steps 301..350 of 400; first non-finite on path 2 at t = 350")
 
 
 def _nan_observation_mid_run():
@@ -314,7 +318,8 @@ def _nan_observation_mid_run():
     system = GalerkinSystem(K=4, r=1, A=0.3 * system.A, B=0.3 * system.B, basis=system.basis)
     y = np.cumsum(np.random.default_rng(9).normal(scale=0.05, size=(3, 401)), axis=1)
     y[1, 250] = np.nan
-    return system, y, 1.0 / 400, np.ones(4), 100, "steps 201..300 of 400"
+    return (system, y, 1.0 / 400, np.ones(4), 100,
+            "steps 201..300 of 400; first non-finite on path 1 at t = 0.75")
 
 
 @pytest.mark.parametrize("case", [_blowup_first_report, _blowup_last_report_before_dropped_steps,
@@ -340,7 +345,8 @@ def test_integrate_paths_blowup_message_equals_seed_loop():
         with pytest.raises(FloatingPointError) as info:
             call()
         messages.append(str(info.value))
-    assert messages[0] == messages[1] == "state blew up in steps 1..400 of 400"
+    assert messages[0] == messages[1] == ("state blew up in steps 1..400 of 400; first non-finite"
+                                          " on path 2 at t = 400")
 
 
 # _euler_reports calls the bound W.dot and the ufuncs with positional outputs,
@@ -444,11 +450,13 @@ def test_rk4_step_exponential_equals_expm_at_the_mc_step():
 
 
 def test_splitting_reports_blowup_names_report_steps():
-    # one step multiplies by the degree-4 Taylor value of e^(1e4), about 4.2e14: 22 steps overflow
+    # one step multiplies by the degree-4 Taylor value of e^(1e4), about 4.2e14: 22 steps
+    # overflow path 1; path 0 starts at 0 and stays there
     system = GalerkinSystem(K=1, r=1, A=np.array([[1e4]]), B=np.zeros((1, 1, 1)),
                             basis=build_basis(1, 1))
-    with pytest.raises(FloatingPointError, match=r"steps 21\.\.25 of 100"):
-        _splitting_reports(system, np.zeros((2, 101)), 1.0, np.ones(1), 5)
+    with pytest.raises(FloatingPointError, match=r"steps 21\.\.25 of 100; first non-finite "
+                                                 r"on path 1 at t = 25$"):
+        _splitting_reports(system, np.zeros((2, 101)), 1.0, np.array([[0.0], [1.0]]), 5)
 
 
 def test_splitting_reports_needs_one_channel():

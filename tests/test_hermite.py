@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from chaosfilter import experiments, hermite
+from chaosfilter import experiments, galerkin, hermite
 from chaosfilter.config import parse_config
 from chaosfilter.hermite import (basis_tables, build_basis, eval_basis, gauss_hermite_grid,
-                                 gram_matrix, lambda_power_norm, project)
+                                 gram_matrix, hermite_function_derivatives,
+                                 hermite_function_values, lambda_power_norm, project)
 
-from oracles import h1_norm
+from oracles import basis_tables_loop, h1_norm, hermite_function_derivatives_loop
 
 
 def test_build_basis_d1():
@@ -186,3 +187,49 @@ def test_h1_norm_probe_grows(grid64):
     assert norms[0] == pytest.approx(math.sqrt(1.0 + 0.5), rel=1e-10)
     assert norms[-1] > norms[0]
     assert all(n > 0 for n in norms)
+
+
+def _same_bits(got, ref):
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 2, 7, 16, 21, 32, 45])
+@pytest.mark.parametrize("derivatives", [0, 1, 2])
+def test_basis_tables_equal_the_per_index_loop_bit_for_bit(d, K, derivatives):
+    basis = build_basis(d, K)
+    assert (basis.max_degree == 0) == (K == 1)
+    # quadrature nodes, where the library evaluates the tables, and points off the grid
+    nodes = np.concatenate([gauss_hermite_grid(d, 5).nodes,
+                            np.random.default_rng(10 * d + K).normal(scale=3.0, size=(9, d))])
+    got = basis_tables(basis, nodes, derivatives)
+    ref = basis_tables_loop(basis, nodes, derivatives)
+    if derivatives == 0:
+        got, ref = (got,), (ref,)
+    assert len(got) == len(ref) == derivatives + 1
+    assert all(_same_bits(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("nmax", [2, 3, 34])
+def test_hermite_function_derivatives_equal_the_degree_loop_bit_for_bit(nmax):
+    t = np.concatenate([np.linspace(-9.0, 9.0, 37), [0.0, -0.0, 40.0]])
+    H = hermite_function_values(nmax, t)
+    got, ref = hermite_function_derivatives(H), hermite_function_derivatives_loop(H)
+    assert got[0].shape == (nmax - 1, t.size)
+    assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+
+def test_hermite_function_derivatives_need_two_degrees_past_the_target():
+    with pytest.raises(ValueError, match="two degrees past"):
+        hermite_function_derivatives(hermite_function_values(1, np.zeros(3)))
+
+
+@pytest.mark.parametrize("model", ["cubic-sensor", "correlated-ou"])
+def test_galerkin_matrices_are_unchanged_by_the_array_tables(model, monkeypatch):
+    cfg = parse_config(f"model.name = {model}\ndiscretization.K = 16\n")
+    pipe = experiments.build_pipeline(cfg)
+    args = pipe.bundle.filter_model, pipe.basis, pipe.grid
+    got = galerkin.assemble(*args)
+    monkeypatch.setattr(galerkin, "basis_tables", basis_tables_loop)
+    ref = galerkin.assemble(*args)
+    assert _same_bits(got.A, ref.A) and _same_bits(got.B, ref.B)
