@@ -100,13 +100,22 @@ def _cmd_filter(args) -> int:
 
 
 def _read_estimate_csv(path):
-    """(t, estimate) columns of an estimates CSV; a ValueError says what is missing."""
+    """(t, estimate) columns of an estimates CSV, every estimate finite.
+
+    A ValueError says what is missing, or names the first data row whose
+    estimate is not finite.
+    """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if rows.shape[0] < 1 or rows.shape[1] < 2:
         raise ValueError(f"expected rows of 't,estimate,...' after the header, found "
                          f"{rows.shape[0]} rows of {rows.shape[1]} columns")
+    bad = np.flatnonzero(~np.isfinite(rows[:, 1]))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"row {i + 1}: estimate {float(rows[i, 1])!r} at t = "
+                         f"{float(rows[i, 0])!r} is not finite")
     return rows[:, 0], rows[:, 1]
 
 
@@ -136,7 +145,7 @@ def _cmd_compare(args) -> int:
                           f"replay's window grid, expected {float(oracle_t[i])!r}")
     with np.errstate(over="ignore"):
         summary = compare_on_path(est, oracle, est_t, oracle_t)
-    if np.isfinite(est).all() and not np.isfinite(summary.rmse):   # the squares overflow
+    if not np.isfinite(summary.rmse):     # the squares overflow
         i = np.argmax(np.abs(summary.errors))
         raise ConfigError(f"{args.est}: row {i + 1}: estimate {float(est[i])!r} at t = "
                           f"{float(est_t[i])!r} is too far from the exact filter's mean "

@@ -120,14 +120,13 @@ def _lowering(counts, r: int):
     """Fixed pattern of the lowering operator C(s) of _integrate_stacked.
 
     Count row dst couples to the row src one layer below it that has one
-    count less in slot (k-1) r + l-1, with coeff that count.  C(s) is a
-    CSR matrix of shape (|J|, r n_src) holding coeff * m_k(s) at row dst,
-    column (l-1) n_src + src; n_src = 1 + the largest source, so the top
-    layer, which is never a source, is left out.  Returns (C, coeff, mode)
-    with coeff and the 0-based mode k-1 aligned with C.data, or None when
-    nothing couples (N = 0).
+    count less in slot (k-1) r + l-1, with coeff that count.  C(s) has
+    shape (|J|, width), width = r n_src, and holds coeff * m_k(s) at row
+    dst, column (l-1) n_src + src; n_src = 1 + the largest source, so the
+    top layer, which is never a source, is left out.  Returns (dst, col,
+    width, coeff, mode), its entries sorted by (dst, col) and mode the
+    0-based k-1, or None when nothing couples (N = 0).
     """
-    from scipy import sparse    # imported here for cold start: the online half never loads scipy
     dst, slot = np.nonzero(counts)
     if not dst.size:
         return None
@@ -138,10 +137,8 @@ def _lowering(counts, r: int):
     n_src = int(src.max()) + 1
     col = slot % r * n_src + src
     order = np.lexsort((col, dst))
-    co = counts[dst, slot].astype(float)[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(counts)))])
-    C = sparse.csr_array((co, col[order], indptr), shape=(len(counts), r * n_src))
-    return C, co, (slot // r)[order]
+    return (dst[order], col[order], r * n_src, counts[dst, slot].astype(float)[order],
+            (slot // r)[order])
 
 
 def _stage_data(tbasis: TemporalBasis, coeff, mode, h: float, steps: int) -> dict:
@@ -181,14 +178,53 @@ def _column_blocks(shape) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _dense_lowering(J: int, K: int, width: int) -> bool:
+    """Whether C(s) of a (|J|, K, K) table is applied as a dense array, else as CSR.
+
+    Dense when the table runs as one column block on any machine (|J| K^2
+    < 2 _BLOCK_ENTRIES) and the dense product costs no more multiply-adds
+    than A S (width <= K).  On a 2-core VM, at mc-cubic's shape (K=16,
+    |J|=15, width 5) the dense product takes about 2.4 us against 6 us
+    for CSR, and a process that never loads scipy.sparse saves 12-19 MB
+    of RSS; a dense product past width K doubled precompute (K=8, N=4,
+    n=8), and dense products on two block threads took 2.5x as long at
+    the live shape (K=32, |J|=165).  Only the table's shape is read, so a
+    table and its one-column flows are the same on every machine.
+    """
+    return J * K * K < 2 * _BLOCK_ENTRIES and width <= K
+
+
+def _lowering_operator(lowering, J: int, dense: bool):
+    """(C, put): C(s) of the pattern `lowering` (_lowering) with |J| rows, and put(values).
+
+    put sets C's entries, in the pattern's order, to a row of _stage_data:
+    dense, writes them into a zero array kept across calls; CSR, replaces
+    C.data.
+    """
+    dst, col, width, coeff, _ = lowering
+    if dense:
+        C = np.zeros((J, width))
+        at = dst * width + col
+        return C, lambda values: C.put(at, values)
+    from scipy import sparse    # imported here for cold start: small tables never load scipy
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=J))])
+    C = sparse.csr_array((coeff, col, indptr), shape=(J, width))
+
+    def put(values):
+        C.data = values
+
+    return C, put
+
+
 def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, counts, S0, substeps):
     """RK4 over the stacked flows S (|J|, K, cols), in column blocks on threads.
 
-    Each right-hand side is the sparse lowering C(s) of _lowering, with
-    only C.data set to the row of _stage_data at s, applied to B_l S over
-    the source indices (one batched product for all channels), plus A S.
-    Both dense products and the sum write into buffers kept across calls:
-    fresh (|J|, K, cols) temporaries page-fault anew on every call.
+    Each right-hand side is the lowering C(s) of _lowering, dense or CSR
+    as _dense_lowering picks, with its entries set to the row of
+    _stage_data at s, applied to B_l S over the source indices (one
+    batched product for all channels), plus A S.  Both batched products
+    and the sum write into buffers kept across calls: fresh (|J|, K, cols)
+    temporaries page-fault anew on every call.
 
     Columns never exchange a number (the flows are linear in their start),
     so each block of _column_blocks is its own pass with its own buffers
@@ -200,23 +236,24 @@ def _integrate_stacked(system: GalerkinSystem, tbasis: TemporalBasis, counts, S0
     lowering = _lowering(counts, system.r)
     h = tbasis.delta / substeps
     if lowering is not None:
-        C0, coeff, mode = lowering
+        _, _, width, coeff, mode = lowering
         stage = _stage_data(tbasis, coeff, mode, h, substeps)
+        dense = _dense_lowering(len(counts), system.K, width)
 
     def flow(cols):
         y0 = S0[:, :, cols]
         out = np.empty(y0.shape)
         if lowering is None:
             return rk4(lambda s, S: np.matmul(A, S, out=out), y0, h, substeps)
-        C = C0.copy()
-        n_src = C.shape[1] // system.r
+        C, put = _lowering_operator(lowering, len(counts), dense)
+        n_src = width // system.r
         BS = np.empty((system.r, n_src) + y0.shape[1:])
 
         def rhs(s, S):
-            C.data = stage[s]
+            put(stage[s])
             np.matmul(B[:, None], S[None, :n_src], out=BS)
             np.matmul(A, S, out=out)
-            return np.add(out, (C @ BS.reshape(C.shape[1], -1)).reshape(out.shape), out=out)
+            return np.add(out, (C @ BS.reshape(width, -1)).reshape(out.shape), out=out)
 
         return rk4(rhs, y0, h, substeps)
 

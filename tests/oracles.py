@@ -322,7 +322,6 @@ def coupling_groups(indices):
 
 def coupling_lowering(indices, r: int):
     """propagator._lowering as it was built from coupling_groups of an index list."""
-    from scipy import sparse
     groups = coupling_groups(indices)
     if not groups:
         return None
@@ -332,9 +331,15 @@ def coupling_lowering(indices, r: int):
     n_src = int(src.max()) + 1
     col = (chan - 1) * n_src + src
     order = np.lexsort((col, dst))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=len(indices)))])
-    C = sparse.csr_array((co[order], col[order], indptr), shape=(len(indices), r * n_src))
-    return C, co[order], mode[order] - 1
+    return dst[order], col[order], r * n_src, co[order], mode[order] - 1
+
+
+def csr_lowering(lowering, J: int):
+    """The CSR matrix of a coupling_lowering pattern with |J| rows, holding its coeffs."""
+    from scipy import sparse
+    dst, col, width, coeff, _ = lowering
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=J))])
+    return sparse.csr_array((coeff, col, indptr), shape=(J, width))
 
 
 def solve_phi(system, tbasis, alpha: MultiIndex, zeta, substeps: int | None = None) -> np.ndarray:

@@ -656,6 +656,19 @@ def test_malformed_estimates_csv_is_validation_failure(tmp_path, capsys, est_tex
     assert f"{est}: " in err and message in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_estimate_is_validation_failure(tmp_path, capsys, value):
+    t = np.linspace(0.0, 0.4, 5).tolist()
+    est = ["0.5", "0.5", "0.5", value, "0.5"]
+    cfg_path, obs, est_path = _compare_inputs(tmp_path, "t,estimate,mass\n" + "".join(
+        f"{a!r},{e},1\n" for a, e in zip(t, est)))
+    assert main(["compare", "--config", cfg_path, "--obs", str(obs), "--est", str(est_path),
+                 "--out", str(tmp_path / "cmp")]) == 2
+    assert (f"invalid input [compare]: {est_path}: row 4: estimate {float(value)!r} at t = "
+            f"{t[3]!r} is not finite") in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
 @pytest.mark.parametrize("shift, row", [(np.full(5, 0.05), 1), (np.eye(5)[2] * 1e-6, 3)])
 def test_misaligned_estimates_csv_is_validation_failure(tmp_path, capsys, shift, row):
     # the replay's window ends are 0, 0.1, ..., 0.4; shift moves the estimates' t column

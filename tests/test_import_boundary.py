@@ -1,8 +1,9 @@
 """Which commands load scipy, each checked in a fresh interpreter.
 
 The online half (the package import, filter, compare, simulate) runs on
-numpy alone; precompute loads scipy.sparse for the offline lowering, and
-only the closed-form oracle loads scipy.linalg.
+numpy alone, and so do precompute and sweep on a small table, whose
+lowering is a dense product; a large table loads scipy.sparse for its
+CSR lowering, and only the closed-form oracle loads scipy.linalg.
 """
 
 import json
@@ -28,6 +29,16 @@ discretization.T = 0.4
 discretization.quad_m = 32
 run.seed = 12
 run.paths = 1
+"""
+
+# the cli-replay table: K=32, |J|=165, two column blocks, a CSR lowering
+LARGE_CONFIG = """
+model.name = correlated-ou
+discretization.K = 32
+discretization.N = 3
+discretization.n = 8
+discretization.delta = 0.01
+discretization.T = 1
 """
 
 # Prints, as JSON, the scipy modules loaded after each step; `commands` is
@@ -71,16 +82,24 @@ def _probe(commands, extra="none"):
 
 
 @pytest.mark.parametrize("command", ["precompute", "sweep"])
-def test_offline_commands_load_only_scipy_sparse_and_closed_form_loads_linalg(tmp_path, command):
+def test_small_tables_load_no_scipy_and_closed_form_loads_linalg(tmp_path, command):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG)
     argv = {"precompute": ["--out", str(tmp_path / "table.tbl")],
             "sweep": ["--axis", "n", "--values", "2", "--out", str(tmp_path / "sweep")]}[command]
     seen = _probe([[command, [command, "--config", str(cfg)] + argv]], "closed-form")
     assert seen["import chaosfilter.cli"] == []
-    assert "scipy.sparse" in seen[command]
-    assert not any(m.startswith("scipy.linalg") for m in seen[command])
+    assert seen[command] == []
     assert "scipy.linalg" in seen["closed_form_order1"]
+
+
+def test_large_table_precompute_loads_only_scipy_sparse(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(LARGE_CONFIG)
+    seen = _probe([["precompute", ["precompute", "--config", str(cfg), "--out",
+                                   str(tmp_path / "table.tbl")]]])
+    assert "scipy.sparse" in seen["precompute"]
+    assert not any(m.startswith("scipy.linalg") for m in seen["precompute"])
 
 
 def test_online_commands_never_load_scipy(tmp_path):

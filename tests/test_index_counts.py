@@ -62,10 +62,9 @@ def test_lowering_of_counts_equals_the_coupling_groups_pattern(N, n, r):
     if N == 0:
         assert new is None and old is None
         return
-    (C, coeff, mode), (C0, coeff0, mode0) = new, old
-    assert C.shape == C0.shape
-    for a, b in [(C.indptr, C0.indptr), (C.indices, C0.indices), (C.data, C0.data),
-                 (coeff, coeff0), (mode, mode0)]:
+    (dst, col, width, coeff, mode), (dst0, col0, width0, coeff0, mode0) = new, old
+    assert width == width0
+    for a, b in [(dst, dst0), (col, col0), (coeff, coeff0), (mode, mode0)]:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 

@@ -21,8 +21,8 @@ from chaosfilter.propagator import (PropagatorTable, brownian_second_moment, clo
 from chaosfilter.runtime import ObservationWindow, step_matrix, xi_integrals
 
 from conftest import gaussian_p0
-from oracles import (coupling_groups, coupling_lowering, empty_index, integrate_galerkin_sde_paths,
-                     save_table_v1, solve_phi)
+from oracles import (coupling_groups, coupling_lowering, csr_lowering, empty_index,
+                     integrate_galerkin_sde_paths, save_table_v1, solve_phi)
 
 
 def scalar_system(a=0.0, b=0.7):
@@ -469,43 +469,94 @@ def test_precompute_matches_per_slot_rhs_two_channels():
     assert table.r == 2 and len(table.indices) == math.comb(3 * 2 + 3, 3)
 
 
-# The right-hand side before the stage rows of _stage_data: C.data formed
-# from tbasis.modes(s) in every call.  Kept as the oracle for the whole
-# table; the products and their order are the same, so the bits are too.
+# The right-hand side before the stage rows of _stage_data: C's entries
+# formed from tbasis.modes(s) in every call.  Kept as the oracle for the
+# whole table; C is dense or CSR as propagator._dense_lowering picks, and
+# the products and their order are the same, so the bits are too.  Its
+# CSR branch is the right-hand side as it was before dense lowerings, so
+# a table that runs as CSR keeps its bits.
 
 def per_call_table(system, tbasis, N, n):
     indices = enumerate_truncated(N, n, system.r)
     S0 = np.zeros((len(indices), system.K, system.K))
     S0[0] = np.eye(system.K)
     A, B = system.A, system.B
-    C, coeff, mode = coupling_lowering(indices, system.r)
-    n_src = C.shape[1] // system.r
+    lowering = coupling_lowering(indices, system.r)
+    dst, col, width, coeff, mode = lowering
+    n_src = width // system.r
     out = np.empty(S0.shape)
     BS = np.empty((system.r, n_src) + S0.shape[1:])
+    if propagator._dense_lowering(len(indices), system.K, width):
+        C = np.zeros((len(indices), width))
+
+        def put(values):
+            C[dst, col] = values
+    else:
+        C = csr_lowering(lowering, len(indices))
+
+        def put(values):
+            C.data = values
 
     def rhs(s, S):
-        C.data = coeff * tbasis.modes(s)[mode]
+        put(coeff * tbasis.modes(s)[mode])
         np.matmul(B[:, None], S[None, :n_src], out=BS)
         np.matmul(A, S, out=out)
-        return np.add(out, (C @ BS.reshape(C.shape[1], -1)).reshape(out.shape), out=out)
+        return np.add(out, (C @ BS.reshape(width, -1)).reshape(out.shape), out=out)
 
     substeps = default_substeps(n)
     return rk4(rhs, S0, tbasis.delta / substeps, substeps)
 
 
+def lowering_is_dense(K, N, n, r=1):
+    _, _, width, _, _ = propagator._lowering(enumerate_counts(N, n, r), r)
+    return propagator._dense_lowering(math.comb(n * r + N, N), K, width)
+
+
 @pytest.mark.parametrize("system, tbasis, N, n", [
-    (random_stable_system(16, seed=2), cosine_basis(0.01, 4), 2, 4),     # mc-cubic sizes
-    (random_stable_system(5, r=2, seed=4), cosine_basis(0.3, 3), 3, 3)])
+    (random_stable_system(16, seed=2), cosine_basis(0.01, 4), 2, 4),     # mc-cubic sizes: dense
+    (random_stable_system(5, r=2, seed=4), cosine_basis(0.3, 3), 3, 3),  # CSR
+    (random_stable_system(4, seed=7), cosine_basis(0.01, 8), 4, 8)])     # CSR
 def test_precompute_equals_per_call_rhs_bit_for_bit(system, tbasis, N, n):
     table = precompute_table(system, tbasis, N, n)
     assert np.array_equal(table.matrices, per_call_table(system, tbasis, N, n))
+
+
+@pytest.mark.parametrize("K, N, n, r, dense", [
+    (16, 2, 4, 1, True),        # mc-cubic: |J|=15, width 5
+    (48, 3, 2, 1, True),        # |J|=10, width 6
+    (32, 3, 8, 1, False),       # live-correlated: two column blocks at two cores
+    (16, 4, 8, 1, False),       # |J|=495: two column blocks
+    (4, 4, 8, 1, False),        # one block, but width 165 > K
+    (5, 3, 3, 2, False),        # one block, but width 56 > K
+    (5, 2, 4, 1, True),         # width 5 = K
+    (4, 2, 4, 1, False),        # width 5 > K
+    (63, 3, 3, 1, True),        # |J| K^2 = 79380, just under 2 _BLOCK_ENTRIES
+    (64, 3, 3, 1, False)])      # |J| K^2 = 81920: two column blocks at two cores
+def test_lowering_representation_follows_the_table_shape_alone(monkeypatch, K, N, n, r, dense):
+    J = math.comb(n * r + N, N)
+    for cores in (1, 2, 64):
+        set_cores(monkeypatch, cores)
+        assert lowering_is_dense(K, N, n, r) == dense
+        if dense:
+            assert len(propagator._column_blocks((J, K, K))) == 1
+
+
+@pytest.mark.parametrize("system, tbasis, N, n", [
+    (random_stable_system(16, seed=2), cosine_basis(0.01, 4), 2, 4),     # mc-cubic sizes
+    (random_stable_system(16, r=2, seed=9), cosine_basis(0.3, 3), 2, 3)])  # one block, r=2
+def test_dense_lowering_agrees_with_csr(monkeypatch, system, tbasis, N, n):
+    assert lowering_is_dense(system.K, N, n, system.r)
+    dense = precompute_table(system, tbasis, N, n).matrices
+    monkeypatch.setattr(propagator, "_dense_lowering", lambda J, K, width: False)
+    csr = precompute_table(system, tbasis, N, n).matrices
+    assert np.max(np.abs(dense - csr)) <= 1e-13 * np.max(np.abs(csr))
 
 
 @pytest.mark.parametrize("N, n", [(3, 8), (2, 4)])      # live-correlated, mc-cubic
 def test_stage_rows_equal_modes_at_every_time_rk4_passes(N, n):
     tbasis, substeps = cosine_basis(0.01, n), default_substeps(n)
     h = tbasis.delta / substeps
-    _, coeff, mode = coupling_lowering(enumerate_truncated(N, n, 1), 1)
+    _, _, _, coeff, mode = coupling_lowering(enumerate_truncated(N, n, 1), 1)
     stage = propagator._stage_data(tbasis, coeff, mode, h, substeps)
     passed = []
     rk4(lambda s, y: passed.append(s) or np.zeros(1), np.zeros(1), h, substeps)
@@ -599,8 +650,9 @@ def serial_integrate_stacked(system, tbasis, indices, S0, substeps):
     lowering = coupling_lowering(indices, system.r)
     if lowering is None:
         return serial_rk4(lambda s, S: np.matmul(A, S), S0, tbasis.delta / substeps, substeps)
-    C, coeff, mode = lowering
-    n_src = C.shape[1] // system.r
+    _, _, width, coeff, mode = lowering
+    C = csr_lowering(lowering, len(indices))
+    n_src = width // system.r
     AS = np.empty(S0.shape)
     BS = np.empty((system.r, n_src) + S0.shape[1:])
 
